@@ -14,7 +14,8 @@ vet:
 # lint runs the stock vet passes plus hetsynthlint, the project's own
 # go/analysis-style suite (internal/lint): ctxpropagate, guardedby,
 # goroutinelife, apidoc, retval, plus the dataflow generation — poolsafe,
-# pinpair, arenaescape, atomicfield — and the escapebudget gate. See
+# pinpair, arenaescape, atomicfield — the whole-module deadcode analysis,
+# and the escapebudget gate. See
 # DESIGN.md §8 for the conventions each analyzer enforces and how to
 # suppress a finding with justification. Package listings are cached under
 # bin/lintcache/ keyed on go.mod and source mtimes, so repeat runs skip the
@@ -134,8 +135,11 @@ bench7:
 # gated benchmark — the cached hit path (both codecs), the uncached solve
 # path (both codecs), the direct-dispatch benchmarks, the admission
 # endpoint, the session patch path, or the cluster routing primitives (ring
-# lookup and both affinity-key extractions) — regresses by more than 25%
-# ns/op or 10% allocs/op. The end-to-end BenchmarkRouterCachedSolve pair is
+# lookup and both affinity-key extractions) — regresses by more than 10%
+# allocs/op, or by more than 25% ns/op when the run and the baseline name
+# the same CPU (wall time is not compared across machines). Benchmark names
+# are matched without go test's -N GOMAXPROCS suffix, and a gate that pairs
+# zero benchmarks fails instead of passing vacuously. The end-to-end BenchmarkRouterCachedSolve pair is
 # recorded but not gated: it stacks two HTTP hops' worth of scheduler noise,
 # too flaky for a 25% tolerance on shared runners. Each benchmark runs
 # BENCHCOUNT times and gates on its fastest run (scheduler noise only slows

@@ -12,6 +12,7 @@ package hetsynth
 // the workloads of the corresponding figures.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -418,7 +419,7 @@ func BenchmarkExactParallel(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hap.ExactParallel(p, hap.ExactOptions{}); err != nil {
+			if _, err := hap.ExactParallelCtx(context.Background(), p, hap.ExactOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

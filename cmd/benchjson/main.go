@@ -23,9 +23,16 @@
 //	    -compare BENCH_2.json -gate 'BenchmarkHTTPSolveCached'
 //
 // With -gate, benchmarks matching the regexp fail the run (exit 1) when
-// ns/op regresses more than -max-ns-regress (default 25%) or allocs/op more
-// than -max-allocs-regress (default 10%) versus the baseline. Results only
-// in one of the two reports are reported but never gate.
+// allocs/op regresses more than -max-allocs-regress (default 10%) or — only
+// when both reports carry the same cpu string, since wall time does not
+// compare across machines — ns/op more than -max-ns-regress (default 25%)
+// versus the baseline. Results only in one of the two reports are reported
+// but never gate, and a -gate that matches zero paired benchmarks fails the
+// run: a gate that compares nothing must not pass.
+//
+// Benchmark names are stored without the -N GOMAXPROCS suffix go test
+// appends, so reports recorded at different core counts pair up; the
+// stripped value is recorded as the report's gomaxprocs.
 //
 // -count N repeats every benchmark N times (go test -count) and keeps each
 // name's fastest run. Scheduler noise on a busy or single-CPU machine only
@@ -57,10 +64,11 @@ type Result struct {
 
 // Report is the file layout: environment header plus the result list.
 type Report struct {
-	Goos    string   `json:"goos,omitempty"`
-	Goarch  string   `json:"goarch,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []Result `json:"results"`
+	Goos       string   `json:"goos,omitempty"`
+	Goarch     string   `json:"goarch,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	Results    []Result `json:"results"`
 }
 
 // suites maps a suite name to its (pkg, bench regexp, default output). The
@@ -203,11 +211,18 @@ func loadReport(path string) Report {
 // failure is also written to stderr naming the benchmark and the exact
 // metric (ns/op or allocs/op) that regressed, with the measured delta and
 // the tolerance it broke — the table alone is too easy to misread in CI.
+// allocs/op gates everywhere; ns/op gates only between reports with the
+// same cpu string. A gate regexp that pairs no benchmark fails.
 func diff(old, new Report, gateRe *regexp.Regexp, maxNs, maxAllocs float64) bool {
 	byName := make(map[string]Result, len(old.Results))
 	for _, r := range old.Results {
 		byName[r.Name] = r
 	}
+	gateNs := old.CPU == new.CPU
+	if gateRe != nil && !gateNs {
+		fmt.Printf("cpu differs (baseline %q, run %q): gating allocs/op only\n", old.CPU, new.CPU)
+	}
+	paired := 0
 	var failures []string
 	for _, r := range new.Results {
 		o, ok := byName[r.Name]
@@ -220,8 +235,9 @@ func diff(old, new Report, gateRe *regexp.Regexp, maxNs, maxAllocs float64) bool
 		allocDelta := ratio(float64(r.AllocsPerOp), float64(o.AllocsPerOp))
 		status := ""
 		if gateRe != nil && gateRe.MatchString(r.Name) {
+			paired++
 			status = "  ok"
-			if nsDelta > maxNs {
+			if gateNs && nsDelta > maxNs {
 				status = "  REGRESSION"
 				failures = append(failures, fmt.Sprintf(
 					"%s: ns/op %.0f -> %.0f (%+.1f%%, tolerance %+.1f%%)",
@@ -246,6 +262,12 @@ func diff(old, new Report, gateRe *regexp.Regexp, maxNs, maxAllocs float64) bool
 	}
 	for name := range byName {
 		fmt.Printf("%-55s (only in baseline)\n", name)
+	}
+	if gateRe != nil {
+		fmt.Printf("gate %q paired %d benchmarks\n", gateRe, paired)
+		if paired == 0 {
+			failures = append(failures, fmt.Sprintf("gate %q matched zero paired benchmarks", gateRe))
+		}
 	}
 	for _, f := range failures {
 		fmt.Fprintf(os.Stderr, "benchjson: gate failure: %s\n", f)
@@ -275,8 +297,9 @@ func parse(buf *bytes.Buffer) Report {
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseLine(line); ok {
+			if r, procs, ok := parseLine(line); ok {
 				rep.Results = append(rep.Results, r)
+				rep.GOMAXPROCS = procs
 			}
 		}
 	}
@@ -284,17 +307,24 @@ func parse(buf *bytes.Buffer) Report {
 }
 
 // parseLine parses one `BenchmarkX-8  1000  1234 ns/op  56 B/op  7 allocs/op`
-// line; the B/op and allocs/op columns are optional.
-func parseLine(line string) (Result, bool) {
+// line; the B/op and allocs/op columns are optional. The -N suffix go test
+// appends when GOMAXPROCS > 1 is stripped from the name and returned as
+// procs (1 when absent). A sub-benchmark whose own name ends in -<digits>
+// would lose that tail too; the suites have none.
+func parseLine(line string) (r Result, procs int, ok bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
-		return Result{}, false
+		return Result{}, 0, false
 	}
-	var r Result
-	r.Name = f[0]
+	r.Name, procs = f[0], 1
+	if i := strings.LastIndexByte(r.Name, '-'); i > 0 {
+		if n, err := strconv.Atoi(r.Name[i+1:]); err == nil && n > 0 {
+			r.Name, procs = r.Name[:i], n
+		}
+	}
 	iters, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
-		return Result{}, false
+		return Result{}, 0, false
 	}
 	r.Iterations = iters
 	for i := 2; i+1 < len(f); i += 2 {
@@ -314,5 +344,5 @@ func parseLine(line string) (Result, bool) {
 			}
 		}
 	}
-	return r, r.NsPerOp > 0
+	return r, procs, r.NsPerOp > 0
 }

@@ -5,8 +5,8 @@
 // the solver/server conventions: context propagation into solvers, "guarded
 // by mu" mutex discipline, goroutine lifecycle tie-down, solver API
 // documentation, undiscarded errors, sync.Pool ownership, cache pin pairing,
-// arena view containment, all-or-nothing field atomicity, and the hot-path
-// heap-escape budget.
+// arena view containment, all-or-nothing field atomicity, reachability of
+// every non-test function (deadcode), and the hot-path heap-escape budget.
 //
 // Usage:
 //
@@ -17,7 +17,8 @@
 // Findings print as file:line:col: message [analyzer]. Suppress a finding
 // with a justification comment on the flagged line or the line above:
 // //hetsynth:ignore <analyzer> <reason>, // detached: <reason> for
-// goroutinelife, or // hetsynth:pool-escape <reason> for poolsafe.
+// goroutinelife, or // hetsynth:pool-escape <reason> for poolsafe; keep a
+// function deadcode flags with // hetsynth:keep <reason> in its doc comment.
 //
 // The escapebudget analyzer is a whole-module gate rather than a per-package
 // pass: it compiles the module with -gcflags=-m and compares the heap-escape
@@ -81,7 +82,7 @@ func main() {
 	var diags []lint.Diagnostic
 	astAnalyzers := 0
 	for _, a := range analyzers {
-		if a.Run != nil {
+		if a.Run != nil || a.RunModule != nil {
 			astAnalyzers++
 		}
 	}

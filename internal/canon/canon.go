@@ -110,13 +110,6 @@ func Instance(g *dfg.Graph, t *fu.Table) string {
 	return d
 }
 
-// Request digests a complete solve request: instance plus deadline and
-// algorithm name. It is the result-cache and single-flight key.
-func Request(g *dfg.Graph, t *fu.Table, deadline int, algo string) string {
-	req, _ := Keys(g, t, deadline, algo)
-	return req
-}
-
 // AdmitTask is the resolved per-task content digested into an admission
 // key: one periodic HAP instance plus its period and relative deadline.
 type AdmitTask struct {

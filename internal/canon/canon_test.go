@@ -21,7 +21,7 @@ func TestDigestDeterministic(t *testing.T) {
 	if Instance(g, tab) != Instance(g, tab) {
 		t.Fatal("Instance digest not deterministic")
 	}
-	if Request(g, tab, 20, "auto") != Request(g, tab, 20, "auto") {
+	if requestKey(g, tab, 20, "auto") != requestKey(g, tab, 20, "auto") {
 		t.Fatal("Request digest not deterministic")
 	}
 }
@@ -43,23 +43,23 @@ func TestDigestSurvivesJSONRoundTrip(t *testing.T) {
 
 func TestDigestSensitivity(t *testing.T) {
 	g, tab := instance(3)
-	base := Request(g, tab, 20, "auto")
+	base := requestKey(g, tab, 20, "auto")
 
-	if Request(g, tab, 21, "auto") == base {
+	if requestKey(g, tab, 21, "auto") == base {
 		t.Error("deadline change did not change the digest")
 	}
-	if Request(g, tab, 20, "repeat") == base {
+	if requestKey(g, tab, 20, "repeat") == base {
 		t.Error("algorithm change did not change the digest")
 	}
 
 	t2 := tab.Clone()
 	t2.Time[0][0]++
-	if Request(g, t2, 20, "auto") == base {
+	if requestKey(g, t2, 20, "auto") == base {
 		t.Error("table time change did not change the digest")
 	}
 	t3 := tab.Clone()
 	t3.Cost[1][1]++
-	if Request(g, t3, 20, "auto") == base {
+	if requestKey(g, t3, 20, "auto") == base {
 		t.Error("table cost change did not change the digest")
 	}
 
@@ -99,4 +99,11 @@ func TestDigestDistinguishesDelays(t *testing.T) {
 	if Instance(mk(0), tab) == Instance(mk(1), tab) {
 		t.Fatal("edge delay ignored by digest")
 	}
+}
+
+// requestKey digests a complete solve request: instance plus deadline and
+// algorithm name. It is the result-cache and single-flight key.
+func requestKey(g *dfg.Graph, t *fu.Table, deadline int, algo string) string {
+	req, _ := Keys(g, t, deadline, algo)
+	return req
 }

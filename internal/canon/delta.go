@@ -68,16 +68,6 @@ func (e *InstanceEnc) SetGraph(g *dfg.Graph) {
 	e.graph = appendGraph(e.graph[:0], g)
 }
 
-// Instance returns the instance digest of the current encoding —
-// byte-identical to what canon.Instance reports for the equivalent whole
-// problem.
-func (e *InstanceEnc) Instance() string {
-	h := sha256.New()
-	h.Write(e.graph)
-	h.Write(e.table)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // Keys returns the request and instance digests for the current encoding
 // plus a deadline and algorithm — byte-identical to canon.Keys of the
 // equivalent whole problem.

@@ -1,6 +1,8 @@
 package canon
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -124,4 +126,14 @@ func TestInstanceEncRejects(t *testing.T) {
 	if err := enc.SetRow(0, []int{1}, []int64{1, 1}); err == nil {
 		t.Fatal("short row accepted")
 	}
+}
+
+// Instance returns the instance digest of the current encoding —
+// byte-identical to what canon.Instance reports for the equivalent whole
+// problem.
+func (e *InstanceEnc) Instance() string {
+	h := sha256.New()
+	h.Write(e.graph)
+	h.Write(e.table)
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -29,12 +29,6 @@ const MaxEntry = 1 << 40
 // ErrTruncated reports an encoding that ended mid-field.
 var ErrTruncated = errors.New("canon: truncated encoding")
 
-// AppendGraph appends the canonical 'G' section for g.
-func AppendGraph(b []byte, g *dfg.Graph) []byte { return appendGraph(b, g) }
-
-// AppendTable appends the canonical 'T' section for t.
-func AppendTable(b []byte, t *fu.Table) []byte { return appendTable(b, t) }
-
 // AppendInstance appends the full instance encoding — exactly the bytes
 // Instance digests.
 func AppendInstance(b []byte, g *dfg.Graph, t *fu.Table) []byte {

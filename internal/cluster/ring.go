@@ -89,9 +89,6 @@ func NewRing(nodes, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Nodes returns the node count the ring was built over.
-func (r *Ring) Nodes() int { return r.nodes }
-
 // Route maps an affinity key to its home node and failover chain.
 //
 // home is the node owning the first ring point at or after the key's hash,

@@ -248,3 +248,6 @@ func TestRingChainBufReuse(t *testing.T) {
 		}
 	}
 }
+
+// Nodes returns the node count the ring was built over.
+func (r *Ring) Nodes() int { return r.nodes }

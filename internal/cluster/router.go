@@ -159,9 +159,6 @@ func (rt *Router) Metrics() RouterMetricsSnapshot {
 	return s
 }
 
-// Peers exposes the peer table (for tests and status tooling).
-func (rt *Router) Peers() []*Peer { return rt.peers }
-
 // Handler returns the router's HTTP routes: every node endpoint, proxied
 // with cache affinity, plus the router's own /healthz and /metrics.
 func (rt *Router) Handler() http.Handler {

@@ -514,3 +514,6 @@ func TestRouterEndToEndCluster(t *testing.T) {
 		t.Errorf("traffic touched %d nodes, want exactly 1 (affinity)", touched)
 	}
 }
+
+// Peers exposes the peer table (for tests and status tooling).
+func (rt *Router) Peers() []*Peer { return rt.peers }

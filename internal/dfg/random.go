@@ -40,6 +40,7 @@ func RandomDAG(rng *rand.Rand, n int, p float64) *Graph {
 
 // RandomTree builds a random out-tree with n nodes: node 0 is the root and
 // every later node picks a uniformly random earlier node as its parent.
+// hetsynth:keep test generator shared by several packages' tests and perfbench
 func RandomTree(rng *rand.Rand, n int) *Graph {
 	g := New()
 	for i := 0; i < n; i++ {
@@ -56,6 +57,7 @@ func RandomTree(rng *rand.Rand, n int) *Graph {
 }
 
 // Chain builds the simple path v1 -> v2 -> ... -> vn.
+// hetsynth:keep test generator shared by several packages' tests
 func Chain(n int) *Graph {
 	g := New()
 	for i := 0; i < n; i++ {

@@ -1,68 +1,9 @@
 package exper
 
 import (
-	"context"
 	"runtime"
 	"sync"
-
-	"hetsynth/internal/benchdfg"
 )
-
-// RunAllParallel is RunAll with the per-benchmark runs spread over worker
-// goroutines (the runs are independent: each builds its own graph and
-// random table from the shared seed). Results come back in input order and
-// are bit-identical to the serial harness; the only difference is wall
-// time on multicore machines. workers <= 0 uses GOMAXPROCS.
-func RunAllParallel(benches []benchdfg.Benchmark, opt Options, workers int) ([]Result, error) {
-	return RunAllParallelCtx(context.Background(), benches, opt, workers)
-}
-
-// RunAllParallelCtx is RunAllParallel with cooperative cancellation: no new
-// benchmark starts after the context dies, running ones unwind through
-// RunCtx, and the workers are always joined before returning.
-func RunAllParallelCtx(ctx context.Context, benches []benchdfg.Benchmark, opt Options, workers int) ([]Result, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(benches) {
-		workers = len(benches)
-	}
-	if workers <= 1 {
-		return RunAllCtx(ctx, benches, opt)
-	}
-
-	results := make([]Result, len(benches))
-	errs := make([]error, len(benches))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i], errs[i] = RunCtx(ctx, benches[i], opt)
-			}
-		}()
-	}
-	for i := range benches {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
 
 // MultiSeedParallel is MultiSeed with one goroutine per seed batch; the
 // aggregation is order-independent, so the statistics match the serial

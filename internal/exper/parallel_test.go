@@ -2,32 +2,7 @@ package exper
 
 import (
 	"testing"
-
-	"hetsynth/internal/benchdfg"
 )
-
-func TestRunAllParallelMatchesSerial(t *testing.T) {
-	opt := Options{Deadlines: 3}
-	serial, err := RunAll(benchdfg.Paper(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunAllParallel(benchdfg.Paper(), opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RenderCSV(serial) != RenderCSV(parallel) {
-		t.Fatal("parallel harness diverged from serial output")
-	}
-	// Degenerate worker counts fall back to serial.
-	one, err := RunAllParallel(benchdfg.Paper(), opt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RenderCSV(one) != RenderCSV(serial) {
-		t.Fatal("workers=1 diverged")
-	}
-}
 
 func TestMultiSeedParallelMatchesSerial(t *testing.T) {
 	opt := Options{Deadlines: 3}

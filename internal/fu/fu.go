@@ -83,16 +83,6 @@ func (l *Library) Type(k TypeID) Type {
 // Name is shorthand for Type(k).Name.
 func (l *Library) Name(k TypeID) string { return l.Type(k).Name }
 
-// Lookup resolves a type name.
-func (l *Library) Lookup(name string) (TypeID, bool) {
-	for i, t := range l.types {
-		if t.Name == name {
-			return TypeID(i), true
-		}
-	}
-	return -1, false
-}
-
 // Table holds the per-(node, type) execution times and costs for one graph.
 // Index [v][k]: node ID v, FU type k.
 type Table struct {
@@ -257,6 +247,7 @@ func RandomTable(rng *rand.Rand, n, k int) *Table {
 }
 
 // UniformTable gives every node the same rows; handy in tests and examples.
+// hetsynth:keep test generator shared by several packages' tests
 func UniformTable(n int, times []int, costs []int64) *Table {
 	t := NewTable(n, len(times))
 	for v := 0; v < n; v++ {

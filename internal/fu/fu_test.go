@@ -34,12 +34,11 @@ func TestLibraryLookup(t *testing.T) {
 	if lib.K() != 3 {
 		t.Fatalf("standard library has %d types, want 3", lib.K())
 	}
-	id, ok := lib.Lookup("P2")
-	if !ok || id != 1 {
-		t.Fatalf("Lookup(P2) = %d, %v", id, ok)
-	}
-	if _, ok := lib.Lookup("P9"); ok {
-		t.Fatal("Lookup(P9) succeeded")
+	// Types are looked up by id; names follow the paper's P1..P3.
+	for k, want := range []string{"P1", "P2", "P3"} {
+		if got := lib.Name(TypeID(k)); got != want || lib.Type(TypeID(k)).Name != want {
+			t.Fatalf("type %d named %q, want %q", k, got, want)
+		}
 	}
 }
 

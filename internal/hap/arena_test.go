@@ -9,91 +9,111 @@ import (
 	"hetsynth/internal/fu"
 )
 
-// These tests pin the flat-arena curve storage (arena.go) to the retained
-// per-node slice representation it replaced: the storage layout must be
-// invisible. Solutions, frontiers, and the retained curves themselves must be
-// bit-identical between the two modes, including across incremental re-solves
-// that abandon arena ranges and across forced compaction.
+// These tests pin the flat-arena curve storage (arena.go) to the dense table
+// DP (densedp_test.go): every retained per-node curve must evaluate, at every
+// budget 0..L, to its node's row of the dense X table — including across
+// incremental re-solves that abandon arena ranges, across forced compaction,
+// and across the parallel path's per-worker arenas. Solutions and frontiers
+// must match the dense oracle as well.
 
-// sameCurves compares every retained per-node curve of two solvers point by
-// point.
-func sameCurves(t *testing.T, seed int64, a, b *treeSolver) {
+// curvesMatchDense compares every retained curve of s against the dense X
+// table point by point, at every deadline 0..L.
+func curvesMatchDense(t *testing.T, seed int64, stage string, s *treeSolver, X [][]int64) {
 	t.Helper()
-	for v := range a.order {
-		ca, cb := a.curveOf(dfg.NodeID(v)), b.curveOf(dfg.NodeID(v))
-		if len(ca) != len(cb) {
-			t.Fatalf("seed %d: node %d: arena curve has %d points, slice curve %d", seed, v, len(ca), len(cb))
-		}
-		for i := range ca {
-			if ca[i] != cb[i] {
-				t.Fatalf("seed %d: node %d point %d: arena %+v != slice %+v", seed, v, i, ca[i], cb[i])
+	for v := range s.order {
+		c := s.curveOf(dfg.NodeID(v))
+		for j, want := range X[v] {
+			if got := c.eval(j); got != want {
+				t.Fatalf("seed %d %s: node %d at budget %d: arena curve %d, dense X %d", seed, stage, v, j, got, want)
 			}
 		}
 	}
 }
 
-// runArenaVsSlice drives an arena-mode and a slice-mode solver through the
-// same solve-pin-resolve trajectory and fails on any divergence.
-func runArenaVsSlice(t *testing.T, seed int64) {
+// frontierMatchesDense checks the solver's whole-forest frontier against the
+// dense root rows: its points are exactly the deadlines 0..L where the summed
+// root cost is finite and strictly below the previous deadline's.
+func frontierMatchesDense(t *testing.T, seed int64, stage string, s *treeSolver, X [][]int64) {
+	t.Helper()
+	var want []FrontierPoint
+	prev := int64(inf)
+	for j := 0; j <= s.p.Deadline; j++ {
+		total := int64(0)
+		for _, r := range s.roots {
+			if X[r][j] == inf {
+				total = inf
+				break
+			}
+			total += X[r][j]
+		}
+		if total < prev {
+			want = append(want, FrontierPoint{Deadline: j, Cost: total})
+			prev = total
+		}
+	}
+	got := s.frontier()
+	if len(got) != len(want) {
+		t.Fatalf("seed %d %s: frontier has %d points, dense %d", seed, stage, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d %s: frontier[%d] arena %+v != dense %+v", seed, stage, i, got[i], want[i])
+		}
+	}
+}
+
+// runArenaVsDense drives an arena solver through a solve-pin-resolve
+// trajectory and checks it against a fresh dense solve under the same pin
+// mask after every step.
+func runArenaVsDense(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	p := randomProblem(rng, 14, true)
-	arena, err := newTreeSolverMode(p, nil, false, false)
+	arena, err := newTreeSolver(p)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	defer arena.release()
-	slice, err := newTreeSolverMode(p, nil, false, true)
-	if err != nil {
-		t.Fatalf("seed %d: %v", seed, err)
-	}
-	defer slice.release()
+	allowed := make([][]bool, p.Graph.N())
 	step := func(stage string) bool {
 		sa, errA := arena.solve()
-		ss, errS := slice.solve()
-		if errors.Is(errA, ErrInfeasible) != errors.Is(errS, ErrInfeasible) {
-			t.Fatalf("seed %d %s: feasibility differs: arena %v, slice %v", seed, stage, errA, errS)
+		sd, X, errD := treeAssignDense(p, allowed)
+		if errors.Is(errA, ErrInfeasible) != errors.Is(errD, ErrInfeasible) {
+			t.Fatalf("seed %d %s: feasibility differs: arena %v, dense %v", seed, stage, errA, errD)
 		}
-		sameCurves(t, seed, arena, slice)
+		curvesMatchDense(t, seed, stage, arena, X)
 		if errA != nil {
 			return false
 		}
-		if !sameSolution(sa, ss) {
-			t.Fatalf("seed %d %s: arena %+v != slice %+v", seed, stage, sa, ss)
+		if !sameSolution(sa, sd) {
+			t.Fatalf("seed %d %s: arena %+v != dense %+v", seed, stage, sa, sd)
 		}
-		fa, fs := arena.frontier(), slice.frontier()
-		if len(fa) != len(fs) {
-			t.Fatalf("seed %d %s: frontier sizes %d != %d", seed, stage, len(fa), len(fs))
-		}
-		for i := range fa {
-			if fa[i] != fs[i] {
-				t.Fatalf("seed %d %s: frontier[%d] arena %+v != slice %+v", seed, stage, i, fa[i], fs[i])
-			}
-		}
+		frontierMatchesDense(t, seed, stage, arena, X)
 		return true
 	}
 	if !step("initial") {
 		return
 	}
 	// Incremental pins abandon the pinned nodes' old arena ranges; the fresh
-	// ranges must still read back identically to the slice path.
+	// ranges must still read back as the dense table under the pin mask.
 	for pinStep := 0; pinStep < 4; pinStep++ {
 		v := dfg.NodeID(rng.Intn(p.Graph.N()))
 		k := fu.TypeID(rng.Intn(p.K()))
 		arena.pin([]dfg.NodeID{v}, k)
-		slice.pin([]dfg.NodeID{v}, k)
+		allowed[v] = make([]bool, p.K())
+		allowed[v][k] = true
 		if !step("pin") {
 			return
 		}
 	}
 }
 
-func TestArenaMatchesSliceMode(t *testing.T) {
+func TestArenaMatchesDenseTable(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		runArenaVsSlice(t, seed)
+		runArenaVsDense(t, seed)
 	}
 }
 
-func TestArenaCompactionMatchesSliceMode(t *testing.T) {
+func TestArenaCompactionMatchesDenseTable(t *testing.T) {
 	// Shrinking the arena bound forces storeCurve through compactArena (and,
 	// when a compacted arena still cannot take the curve, through the
 	// open-a-fresh-arena fallback) on ordinary small instances. The serial
@@ -102,11 +122,11 @@ func TestArenaCompactionMatchesSliceMode(t *testing.T) {
 	maxArenaPoints = 12
 	defer func() { maxArenaPoints = old }()
 	for seed := int64(0); seed < 120; seed++ {
-		runArenaVsSlice(t, 5000+seed)
+		runArenaVsDense(t, 5000+seed)
 	}
 }
 
-func TestArenaParallelMatchesSliceMode(t *testing.T) {
+func TestArenaParallelMatchesDenseTable(t *testing.T) {
 	// Above parallelMinDirty the first solve takes the worker-pool path with
 	// one private arena per worker; under -race this doubles as the probe for
 	// the arena handoff (ptmp) being properly ordered.
@@ -120,25 +140,20 @@ func TestArenaParallelMatchesSliceMode(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := Problem{Graph: g, Table: tab, Deadline: min + 1 + rng.Intn(min+2)}
-		arena, err := newTreeSolverMode(p, nil, false, false)
+		arena, err := newTreeSolver(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer arena.release()
-		slice, err := newTreeSolverMode(p, nil, false, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer slice.release()
 		sa, errA := arena.solve()
-		ss, errS := slice.solve()
-		if errA != nil || errS != nil {
-			t.Fatalf("seed %d: arena %v slice %v", seed, errA, errS)
+		sd, X, errD := treeAssignDense(p, nil)
+		if errA != nil || errD != nil {
+			t.Fatalf("seed %d: arena %v dense %v", seed, errA, errD)
 		}
-		if !sameSolution(sa, ss) {
-			t.Fatalf("seed %d: arena %+v != slice %+v", seed, sa, ss)
+		if !sameSolution(sa, sd) {
+			t.Fatalf("seed %d: arena %+v != dense %+v", seed, sa, sd)
 		}
-		sameCurves(t, seed, arena, slice)
+		curvesMatchDense(t, seed, "parallel", arena, X)
 	}
 }
 
@@ -160,7 +175,7 @@ func TestTreeSolveArenaAllocs(t *testing.T) {
 	}
 	p := Problem{Graph: g, Table: tab, Deadline: min + min/2 + 1}
 	solveOnce := func() {
-		s, err := newTreeSolver(p, nil, false)
+		s, err := newTreeSolver(p)
 		if err != nil {
 			t.Fatal(err)
 		}

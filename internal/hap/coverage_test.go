@@ -179,10 +179,10 @@ func TestExactParallelEdgeCases(t *testing.T) {
 	}
 	tight := treeProblem()
 	tight.Deadline = 2 // min makespan is 3 (depth-3 tree, all-fastest time 1)
-	if _, err := ExactParallel(tight, ExactOptions{}); !errors.Is(err, ErrInfeasible) {
+	if _, err := ExactParallelCtx(context.Background(), tight, ExactOptions{}); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("sub-makespan deadline: err %v, want ErrInfeasible", err)
 	}
-	got, err := ExactParallel(treeProblem(), ExactOptions{})
+	got, err := ExactParallelCtx(context.Background(), treeProblem(), ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestAnnealCancelKeepsIncumbent(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err %v, want Canceled", err)
 	}
-	if sol.Assign == nil || !Feasible(pathProblem(), sol.Assign) {
+	if sol.Assign == nil || !feasibleQuick(pathProblem(), sol.Assign) {
 		t.Fatalf("cancelled anneal lost its feasible incumbent: %+v", sol)
 	}
 }
@@ -242,7 +242,7 @@ func TestAnnealReheatAndInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Feasible(diamondProblem(), sol.Assign) {
+	if !feasibleQuick(diamondProblem(), sol.Assign) {
 		t.Fatalf("reheated anneal returned an infeasible assignment: %+v", sol)
 	}
 	p := pathProblem()
@@ -276,7 +276,7 @@ func TestSolveCtxDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		if !Feasible(p, sol.Assign) {
+		if !feasibleQuick(p, sol.Assign) {
 			t.Fatalf("%v: infeasible result %+v", algo, sol)
 		}
 		if sol.Cost < want.Cost || (optimal[algo] && sol.Cost != want.Cost) {
@@ -322,16 +322,18 @@ func TestSolveCtxDispatch(t *testing.T) {
 }
 
 func TestFeasible(t *testing.T) {
+	// feasibleQuick is the deadline check the brute-force oracle and these
+	// tests share.
 	p := pathProblem()
 	fast := minTimeAssignment(p.Table)
-	if !Feasible(p, fast) {
+	if !feasibleQuick(p, fast) {
 		t.Error("all-fastest assignment reported infeasible")
 	}
 	slow := minCostAssignment(p.Table)
-	if Feasible(p, slow) {
+	if feasibleQuick(p, slow) {
 		t.Error("all-cheapest assignment (length 13 > 10) reported feasible")
 	}
-	if Feasible(p, Assignment{0}) {
+	if feasibleQuick(p, Assignment{0}) {
 		t.Error("short assignment reported feasible")
 	}
 }
@@ -351,7 +353,7 @@ func TestProblemValidateCyclicGraph(t *testing.T) {
 func TestDistinctOptionsDuplicates(t *testing.T) {
 	tab := fu.NewTable(1, 4)
 	tab.MustSet(0, []int{2, 3, 2, 3}, []int64{5, 1, 5, 9})
-	got := distinctOptions(tab, 0)
+	got := appendCandTypes(nil, tab, 0)
 	// Type 2 duplicates type 0's (2,5); types 1 and 3 differ in cost.
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
 		t.Fatalf("distinct options %v, want [0 1 3]", got)
@@ -377,7 +379,7 @@ func TestGreedyRatioUpgradeChoices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Feasible(p, sol.Assign) {
+	if !feasibleQuick(p, sol.Assign) {
 		t.Fatalf("infeasible result %+v", sol)
 	}
 	opt, err := BruteForce(p)
@@ -432,7 +434,7 @@ func TestTreeParallelRecompute(t *testing.T) {
 	if par.Cost != serial.Cost {
 		t.Fatalf("parallel cost %d, serial %d", par.Cost, serial.Cost)
 	}
-	if !Feasible(p, par.Assign) {
+	if !feasibleQuick(p, par.Assign) {
 		t.Fatal("parallel solve returned an infeasible assignment")
 	}
 }
@@ -491,7 +493,7 @@ func TestSolveAnytimeCancelSweep(t *testing.T) {
 			}
 			continue
 		}
-		if !Feasible(p, res.Assign) {
+		if !feasibleQuick(p, res.Assign) {
 			t.Fatalf("after %d polls: infeasible result %+v", after, res)
 		}
 		if res.LowerBound > opt.Cost || res.Cost < opt.Cost {

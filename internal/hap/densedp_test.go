@@ -7,14 +7,19 @@ import (
 	"hetsynth/internal/fu"
 )
 
-// treeAssignDense is the original dense-table formulation of Tree_Assign:
-// X[v][0..L] tabulated per node, O(|V|·L·K) time and O(|V|·L) memory. The
-// production path (treeSolver, curve.go) replaced it with the sparse
-// Pareto-frontier engine; this implementation is kept verbatim as the
+// treeAssignDense is the original dense-table formulation of Tree_Assign on
+// an out-forest: X[v][0..L] tabulated per node, O(|V|·L·K) time and
+// O(|V|·L) memory. The production path (treeSolver, curve.go) replaced it
+// with the sparse Pareto-frontier engine; this implementation is kept as the
 // reference oracle for the differential tests, which assert that the sparse
-// engine reproduces its costs AND assignments bit-for-bit. It accepts the
-// same optional per-node type mask as treeAssignMasked.
-func treeAssignDense(p Problem, allowed [][]bool) (Solution, error) {
+// engine reproduces its costs AND assignments bit-for-bit, and that every
+// retained sparse curve evaluates to the X row of its node at every budget.
+//
+// allowed is an optional per-node type mask: allowed[v][k] == false forbids
+// type k on node v; a nil mask (or nil row) allows every distinct option.
+// The X table is returned alongside the solution — also when the instance
+// is infeasible at L, so curve checks cover infeasible trajectories too.
+func treeAssignDense(p Problem, allowed [][]bool) (Solution, [][]int64, error) {
 	g, t, L := p.Graph, p.Table, p.Deadline
 	n, K := g.N(), t.K()
 
@@ -28,12 +33,12 @@ func treeAssignDense(p Problem, allowed [][]bool) (Solution, error) {
 			}
 			continue
 		}
-		candidates[v] = distinctOptions(t, v)
+		candidates[v] = appendCandTypes(nil, t, v)
 	}
 
 	rev, err := g.ReverseTopoOrder()
 	if err != nil {
-		return Solution{}, err
+		return Solution{}, nil, err
 	}
 
 	// X[v][j]: DP value as documented on TreeAssign; inf marks
@@ -79,7 +84,7 @@ func treeAssignDense(p Problem, allowed [][]bool) (Solution, error) {
 	var total int64
 	for _, r := range g.Roots() {
 		if X[r][L] == inf {
-			return Solution{}, ErrInfeasible
+			return Solution{}, X, ErrInfeasible
 		}
 		total += X[r][L]
 	}
@@ -102,13 +107,13 @@ func treeAssignDense(p Problem, allowed [][]bool) (Solution, error) {
 
 	sol, err := Evaluate(p, assign)
 	if err != nil {
-		return Solution{}, err
+		return Solution{}, nil, err
 	}
 	if sol.Cost != total {
-		return Solution{}, fmt.Errorf("hap: internal error: traceback cost %d != DP value %d", sol.Cost, total)
+		return Solution{}, nil, fmt.Errorf("hap: internal error: traceback cost %d != DP value %d", sol.Cost, total)
 	}
 	if sol.Length > L {
-		return Solution{}, fmt.Errorf("hap: internal error: Tree_Assign produced length %d > %d", sol.Length, L)
+		return Solution{}, nil, fmt.Errorf("hap: internal error: Tree_Assign produced length %d > %d", sol.Length, L)
 	}
-	return sol, nil
+	return sol, X, nil
 }

@@ -110,7 +110,9 @@ func AssignRepeatCtx(ctx context.Context, p Problem) (Solution, error) {
 		return Solution{}, err
 	}
 	tp := Problem{Graph: tree.Graph, Table: liftTable(p.Table, tree.Orig), Deadline: p.Deadline}
-	solver, err := newTreeSolver(tp, nil, false)
+	// The critical-path tree is always an out-forest, so the solver runs it
+	// in graph orientation.
+	solver, err := newTreeSolver(tp)
 	if err != nil {
 		return Solution{}, err
 	}

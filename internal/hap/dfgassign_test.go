@@ -237,15 +237,3 @@ func TestParseAlgorithm(t *testing.T) {
 		t.Errorf("String fallback = %q", s)
 	}
 }
-
-func TestDescribe(t *testing.T) {
-	p := pathProblem()
-	lib := fu.StandardLibrary()
-	got := Describe(p, lib, Assignment{0, 1, 2})
-	want := []string{"v1:P1", "v2:P2", "v3:P3"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Describe = %v, want %v", got, want)
-		}
-	}
-}

@@ -12,10 +12,34 @@ import (
 )
 
 // These tests pin the sparse Pareto-frontier engine (treesolver.go) to the
-// dense table DP it replaced (densedp.go): on every input the two must agree
+// dense table DP it replaced (densedp_test.go): on every input the two must agree
 // on feasibility, optimal cost, schedule length AND the assignment itself —
 // the traceback repeats the dense tie-breaking rule, so even ties must
 // resolve identically.
+
+// solveMasked is the sparse engine restricted by the dense oracle's per-node
+// type mask: each masked row replaces the node's candidate types verbatim,
+// the way pin narrows a row to one type. Nil rows keep the full row.
+func solveMasked(p Problem, allowed [][]bool) (Solution, error) {
+	s, err := newTreeSolver(p)
+	if err != nil {
+		return Solution{}, err
+	}
+	defer s.release()
+	for v, row := range allowed {
+		if row == nil {
+			continue
+		}
+		var cand []fu.TypeID
+		for k, ok := range row {
+			if ok {
+				cand = append(cand, fu.TypeID(k))
+			}
+		}
+		s.cand[v] = cand
+	}
+	return s.solve()
+}
 
 // sameSolution fails the check when the two solvers disagree anywhere.
 func sameSolution(a, b Solution) bool {
@@ -34,8 +58,8 @@ func TestSparseMatchesDenseOnRandomTrees(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 12, true)
-		sparse, errS := treeAssignMasked(p, nil)
-		dense, errD := treeAssignDense(p, nil)
+		sparse, errS := TreeAssign(p)
+		dense, _, errD := treeAssignDense(p, nil)
 		if errors.Is(errS, ErrInfeasible) != errors.Is(errD, ErrInfeasible) {
 			t.Fatalf("seed %d: feasibility differs: sparse %v, dense %v", seed, errS, errD)
 		}
@@ -58,7 +82,7 @@ func TestSparseMatchesDenseAndExactOnRandomTrees(t *testing.T) {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		p := randomProblem(rng, 8, true)
 		sparse, errS := TreeAssign(p)
-		dense, errD := treeAssignDense(p, nil)
+		dense, _, errD := treeAssignDense(p, nil)
 		exact, errX := BruteForce(p)
 		if errors.Is(errX, ErrInfeasible) {
 			if !errors.Is(errS, ErrInfeasible) || !errors.Is(errD, ErrInfeasible) {
@@ -83,7 +107,7 @@ func TestSparseMatchesDenseOnInForests(t *testing.T) {
 		out := randomProblem(rng, 12, true)
 		p := Problem{Graph: out.Graph.Transpose(), Table: out.Table, Deadline: out.Deadline}
 		sparse, errS := TreeAssign(p)
-		dense, errD := treeAssignDense(Problem{Graph: p.Graph.Transpose(), Table: p.Table, Deadline: p.Deadline}, nil)
+		dense, _, errD := treeAssignDense(Problem{Graph: p.Graph.Transpose(), Table: p.Table, Deadline: p.Deadline}, nil)
 		if errors.Is(errS, ErrInfeasible) != errors.Is(errD, ErrInfeasible) {
 			t.Fatalf("seed %d: feasibility differs: sparse %v, dense %v", seed, errS, errD)
 		}
@@ -116,8 +140,8 @@ func TestSparseMatchesDenseUnderMasks(t *testing.T) {
 				allowed[v][rng.Intn(p.K())] = true
 			}
 		}
-		sparse, errS := treeAssignMasked(p, allowed)
-		dense, errD := treeAssignDense(p, allowed)
+		sparse, errS := solveMasked(p, allowed)
+		dense, _, errD := treeAssignDense(p, allowed)
 		if errors.Is(errS, ErrInfeasible) != errors.Is(errD, ErrInfeasible) {
 			t.Fatalf("seed %d: feasibility differs: sparse %v, dense %v", seed, errS, errD)
 		}
@@ -132,17 +156,19 @@ func TestSparseMatchesDenseUnderMasks(t *testing.T) {
 
 func TestIncrementalPinMatchesFreshSolve(t *testing.T) {
 	// Pinning nodes one by one on a single solver (dirty-path invalidation)
-	// must match a from-scratch masked solve after every pin.
+	// must match a from-scratch dense solve under the pin mask after every
+	// pin.
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 14, true)
-		if _, err := treeAssignMasked(p, nil); err != nil {
+		if _, err := TreeAssign(p); err != nil {
 			continue // infeasible instances have nothing to pin
 		}
-		solver, err := newTreeSolver(p, nil, false)
+		solver, err := newTreeSolver(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer solver.release()
 		allowed := make([][]bool, p.Graph.N())
 		order := rng.Perm(p.Graph.N())
 		for step, vi := range order[:1+rng.Intn(len(order))] {
@@ -153,17 +179,15 @@ func TestIncrementalPinMatchesFreshSolve(t *testing.T) {
 			row[k] = true
 			allowed[vi] = row
 			inc, errI := solver.solve()
-			fresh, errF := treeAssignMasked(p, allowed)
-			dense, errD := treeAssignDense(p, allowed)
-			if errors.Is(errI, ErrInfeasible) != errors.Is(errF, ErrInfeasible) ||
-				errors.Is(errI, ErrInfeasible) != errors.Is(errD, ErrInfeasible) {
-				t.Fatalf("seed %d step %d: feasibility differs: inc %v fresh %v dense %v", seed, step, errI, errF, errD)
+			dense, _, errD := treeAssignDense(p, allowed)
+			if errors.Is(errI, ErrInfeasible) != errors.Is(errD, ErrInfeasible) {
+				t.Fatalf("seed %d step %d: feasibility differs: inc %v dense %v", seed, step, errI, errD)
 			}
 			if errI != nil {
 				break // once infeasible, further pins stay infeasible
 			}
-			if !sameSolution(inc, fresh) || !sameSolution(inc, dense) {
-				t.Fatalf("seed %d step %d: incremental %+v fresh %+v dense %+v", seed, step, inc, fresh, dense)
+			if !sameSolution(inc, dense) {
+				t.Fatalf("seed %d step %d: incremental %+v dense %+v", seed, step, inc, dense)
 			}
 		}
 	}
@@ -183,7 +207,7 @@ func TestParallelSolveMatchesDense(t *testing.T) {
 		}
 		p := Problem{Graph: g, Table: tab, Deadline: min + 1 + rng.Intn(min+2)}
 		sparse, errS := TreeAssign(p)
-		dense, errD := treeAssignDense(p, nil)
+		dense, _, errD := treeAssignDense(p, nil)
 		if errS != nil || errD != nil {
 			t.Fatalf("seed %d: sparse %v dense %v", seed, errS, errD)
 		}
@@ -224,7 +248,7 @@ func assignRepeatDenseReference(p Problem) (Solution, error) {
 		return Solution{}, err
 	}
 	tp := Problem{Graph: tree.Graph, Table: liftTable(p.Table, tree.Orig), Deadline: p.Deadline}
-	tsol, err := treeAssignDense(tp, nil)
+	tsol, _, err := treeAssignDense(tp, nil)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -240,7 +264,7 @@ func assignRepeatDenseReference(p Problem) (Solution, error) {
 			row[k] = true
 			allowed[w] = row
 		}
-		if tsol, err = treeAssignDense(tp, allowed); err != nil {
+		if tsol, _, err = treeAssignDense(tp, allowed); err != nil {
 			return Solution{}, err
 		}
 	}

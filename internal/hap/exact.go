@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"hetsynth/internal/dfg"
 	"hetsynth/internal/fu"
 )
 
@@ -75,6 +74,7 @@ func (s *SearchStats) LowerBound() (int64, bool) {
 }
 
 // Explored reports how many branch-and-bound states the run visited.
+// hetsynth:keep perfbench
 func (s *SearchStats) Explored() int64 { return s.explored.Load() }
 
 // DefaultMaxStates is the default exploration budget of Exact.
@@ -158,7 +158,7 @@ func ExactCtx(ctx context.Context, p Problem, opts ExactOptions) (Solution, erro
 	// Branch only on distinct (time, cost) options per node.
 	cands := make([][]fu.TypeID, n)
 	for v := 0; v < n; v++ {
-		cands[v] = distinctOptions(t, v)
+		cands[v] = appendCandTypes(nil, t, v)
 	}
 
 	// times starts all-fastest; branch-and-bound overwrites decided nodes.
@@ -264,6 +264,7 @@ func ExactCtx(ctx context.Context, p Problem, opts ExactOptions) (Solution, erro
 // BruteForce enumerates every one of the K^n assignments and returns the
 // optimum. It exists purely as an independent oracle for tests and refuses
 // instances with more than 3^16-ish search space.
+// hetsynth:keep differential oracle shared by several packages' tests
 func BruteForce(p Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
@@ -303,14 +304,4 @@ func BruteForce(p Problem) (Solution, error) {
 func feasibleQuick(p Problem, a Assignment) bool {
 	l, _, err := p.Graph.LongestPath(Times(p.Table, a))
 	return err == nil && l <= p.Deadline
-}
-
-// dfgNodeNames renders an assignment as "name:type" pairs for messages and
-// goldens; exported via the facade's Solution formatting.
-func dfgNodeNames(g *dfg.Graph, lib *fu.Library, a Assignment) []string {
-	out := make([]string, len(a))
-	for v, k := range a {
-		out[v] = g.Node(dfg.NodeID(v)).Name + ":" + lib.Name(k)
-	}
-	return out
 }

@@ -41,17 +41,7 @@ func solveTreeFrontier(p Problem, withSolution bool) (Solution, []FrontierPoint,
 	if err := p.Validate(); err != nil {
 		return Solution{}, nil, err
 	}
-	reversed := false
-	switch {
-	case outForestShape(p.Graph):
-	case inForestShape(p.Graph):
-		// Reversing every edge preserves all path lengths, so both the
-		// frontier and the optimum carry over unchanged (cf. TreeAssign).
-		reversed = true
-	default:
-		return Solution{}, nil, fmt.Errorf("%w: TreeFrontier needs a tree-shaped graph", ErrShape)
-	}
-	solver, err := newTreeSolver(p, nil, reversed)
+	solver, err := newTreeSolver(p)
 	if err != nil {
 		return Solution{}, nil, err
 	}
@@ -107,15 +97,7 @@ func NewFrontierSolver(p Problem) (*FrontierSolver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	reversed := false
-	switch {
-	case outForestShape(p.Graph):
-	case inForestShape(p.Graph):
-		reversed = true
-	default:
-		return nil, fmt.Errorf("%w: FrontierSolver needs a tree-shaped graph", ErrShape)
-	}
-	solver, err := newTreeSolver(p, nil, reversed)
+	solver, err := newTreeSolver(p)
 	if err != nil {
 		return nil, err
 	}

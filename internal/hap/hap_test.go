@@ -115,6 +115,27 @@ func TestEvaluateChecksAssignment(t *testing.T) {
 	}
 }
 
+func TestMakespanHorizon(t *testing.T) {
+	p := pathProblem()
+	// All-slowest path length: the deadline every assignment meets.
+	w := make([]int, p.Graph.N())
+	for v := range w {
+		w[v] = p.Table.MaxTime(v)
+	}
+	maxLen, _, err := p.Graph.LongestPath(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Deadline = 1
+	if got := MakespanHorizon(p); got != maxLen {
+		t.Fatalf("horizon at a tight deadline = %d, want the maximum makespan %d", got, maxLen)
+	}
+	p.Deadline = maxLen + 7
+	if got := MakespanHorizon(p); got != maxLen+7 {
+		t.Fatalf("horizon past the maximum makespan = %d, want the deadline %d", got, maxLen+7)
+	}
+}
+
 func TestMinMakespan(t *testing.T) {
 	p := pathProblem()
 	got, err := MinMakespan(p.Graph, p.Table)

@@ -31,7 +31,6 @@ import (
 type IncrementalSolver struct {
 	mu         sync.Mutex
 	s          *treeSolver // guarded by mu; nil after Close
-	reversed   bool        // immutable: DP runs on the edge-reversed graph (in-forest orientation)
 	target     int         // guarded by mu; the deadline Solve answers at
 	horizon    int         // guarded by mu; curves are truncated here (>= target)
 	recomputed int         // guarded by mu; dirty nodes recomputed by the last Solve
@@ -51,34 +50,16 @@ func NewIncrementalSolver(p Problem) (*IncrementalSolver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	reversed := false
-	switch {
-	case outForestShape(p.Graph):
-	case inForestShape(p.Graph):
-		reversed = true
-	default:
-		return nil, fmt.Errorf("%w: IncrementalSolver needs a tree-shaped graph", ErrShape)
-	}
-	target := p.Deadline
-	// Solve the curves out to the instance's maximum makespan — the longest
-	// path under the slowest type per node — beyond which every assignment
-	// is feasible, so deadline retargets never need a DP re-run.
-	horizon := target
-	wmax := make([]int, p.Graph.N())
-	for v := range wmax {
-		wmax[v] = p.Table.MaxTime(v)
-	}
-	if maxLen, _, err := p.Graph.LongestPath(wmax); err == nil && maxLen > horizon {
-		horizon = maxLen
-	}
+	// Solve the curves out to the maximum makespan, beyond which every
+	// assignment is feasible, so deadline retargets never need a DP re-run.
 	wide := p
 	wide.Table = p.Table.Clone()
-	wide.Deadline = horizon
-	s, err := newTreeSolver(wide, nil, reversed)
+	wide.Deadline = MakespanHorizon(p)
+	s, err := newTreeSolver(wide)
 	if err != nil {
 		return nil, err
 	}
-	return &IncrementalSolver{s: s, reversed: reversed, target: target, horizon: horizon}, nil
+	return &IncrementalSolver{s: s, target: p.Deadline, horizon: wide.Deadline}, nil
 }
 
 // SetRow replaces node v's (time, cost) row and invalidates the curves on
@@ -142,7 +123,7 @@ func (is *IncrementalSolver) AddEdge(u, v dfg.NodeID, delays int) error {
 		return fmt.Errorf("hap: zero-delay self-loop on node %d", u)
 	}
 	parent, child := u, v
-	if is.reversed {
+	if is.s.reversed {
 		parent, child = v, u
 	}
 	if is.s.parent[child] >= 0 {
@@ -181,7 +162,7 @@ func (is *IncrementalSolver) RemoveEdge(u, v dfg.NodeID, delays int) error {
 		return nil
 	}
 	parent, child := u, v
-	if is.reversed {
+	if is.s.reversed {
 		parent, child = v, u
 	}
 	if is.s.parent[child] != int32(parent) {
@@ -272,27 +253,6 @@ func (is *IncrementalSolver) Recomputed() int {
 	is.mu.Lock()
 	defer is.mu.Unlock()
 	return is.recomputed
-}
-
-// Target returns the deadline Solve currently answers at.
-func (is *IncrementalSolver) Target() int {
-	is.mu.Lock()
-	defer is.mu.Unlock()
-	return is.target
-}
-
-// Frontier recomputes any dirty curves and returns the cost-versus-deadline
-// frontier up to the horizon — the deadlines where the optimal cost strictly
-// improves, read straight off the DP root curves like TreeFrontier. Empty
-// means infeasible everywhere up to the horizon.
-func (is *IncrementalSolver) Frontier() []FrontierPoint {
-	is.mu.Lock()
-	defer is.mu.Unlock()
-	if is.s == nil {
-		return nil
-	}
-	is.s.recompute()
-	return is.s.frontier()
 }
 
 // Close recycles the solver's curve arenas and scratch into the package

@@ -351,3 +351,24 @@ func TestAnytimeObserverMonotone(t *testing.T) {
 		t.Fatalf("tree fast path updates = %+v, want one exact tree update at cost %d", seen, tres.Cost)
 	}
 }
+
+// Target returns the deadline Solve currently answers at.
+func (is *IncrementalSolver) Target() int {
+	is.mu.Lock()
+	defer is.mu.Unlock()
+	return is.target
+}
+
+// Frontier recomputes any dirty curves and returns the cost-versus-deadline
+// frontier up to the horizon — the deadlines where the optimal cost strictly
+// improves, read straight off the DP root curves like TreeFrontier. Empty
+// means infeasible everywhere up to the horizon.
+func (is *IncrementalSolver) Frontier() []FrontierPoint {
+	is.mu.Lock()
+	defer is.mu.Unlock()
+	if is.s == nil {
+		return nil
+	}
+	is.s.recompute()
+	return is.s.frontier()
+}

@@ -59,7 +59,7 @@ func (b *incumbent) snapshot() (Assignment, int64, bool) {
 	return b.assign, b.assignCost, true
 }
 
-// ExactParallel is Exact with the top level of the branch-and-bound fanned
+// ExactParallelCtx is Exact with the top level of the branch-and-bound fanned
 // out over worker goroutines: the K type choices of the first node in
 // topological order become K independent subtree searches, each with its
 // own mutable state, sharing only the incumbent bound through an atomic.
@@ -70,14 +70,8 @@ func (b *incumbent) snapshot() (Assignment, int64, bool) {
 // lowered); the explored-state total can differ run to run because bound
 // propagation is timing-dependent, so the state budget is enforced
 // per-worker.
-func ExactParallel(p Problem, opts ExactOptions) (Solution, error) {
-	return ExactParallelCtx(context.Background(), p, opts)
-}
-
-// ExactParallelCtx is ExactParallel — the exponential branch-and-bound over
-// K-way type choices, parallelized at the top level — with cooperative
-// cancellation. Workers
-// poll the context every ~1k explored states and raise a shared stop flag
+//
+// Cancellation is cooperative: workers poll the context every ~1k explored states and raise a shared stop flag
 // the moment it reports done (or any worker fails), so the whole fan-out
 // unwinds promptly — cancellation latency is bounded by one poll interval,
 // not by the remaining search. All workers are always joined before the
@@ -134,7 +128,7 @@ func ExactParallelCtx(ctx context.Context, p Problem, opts ExactOptions) (Soluti
 	fastTimes := Times(t, minTimeAssignment(t))
 	cands := make([][]fu.TypeID, n)
 	for v := 0; v < n; v++ {
-		cands[v] = distinctOptions(t, v)
+		cands[v] = appendCandTypes(nil, t, v)
 	}
 
 	// stop fans a failure or cancellation out to every worker: each polls it

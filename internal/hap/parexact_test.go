@@ -1,6 +1,7 @@
 package hap
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -15,7 +16,7 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 9, false)
 		a, err1 := Exact(p, ExactOptions{})
-		b, err2 := ExactParallel(p, ExactOptions{})
+		b, err2 := ExactParallelCtx(context.Background(), p, ExactOptions{})
 		if errors.Is(err1, ErrInfeasible) {
 			return errors.Is(err2, ErrInfeasible)
 		}
@@ -40,13 +41,13 @@ func TestExactParallelBudget(t *testing.T) {
 		tab.MustSet(v, []int{1, 3}, []int64{10, 1})
 	}
 	p := Problem{Graph: g, Table: tab, Deadline: 2 * n}
-	if _, err := ExactParallel(p, ExactOptions{MaxStates: 10}); !errors.Is(err, ErrSearchTooLarge) {
+	if _, err := ExactParallelCtx(context.Background(), p, ExactOptions{MaxStates: 10}); !errors.Is(err, ErrSearchTooLarge) {
 		t.Fatalf("want ErrSearchTooLarge, got %v", err)
 	}
 }
 
 func TestExactParallelValidates(t *testing.T) {
-	if _, err := ExactParallel(Problem{}, ExactOptions{}); err == nil {
+	if _, err := ExactParallelCtx(context.Background(), Problem{}, ExactOptions{}); err == nil {
 		t.Fatal("nil problem accepted")
 	}
 }
@@ -56,7 +57,7 @@ func TestExactParallelSingleNodeFallsBack(t *testing.T) {
 	g := dfg.Chain(1)
 	tab := fu.NewTable(1, 3)
 	tab.MustSet(0, []int{1, 3, 7}, []int64{9, 2, 1})
-	s, err := ExactParallel(Problem{Graph: g, Table: tab, Deadline: 5}, ExactOptions{})
+	s, err := ExactParallelCtx(context.Background(), Problem{Graph: g, Table: tab, Deadline: 5}, ExactOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

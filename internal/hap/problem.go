@@ -123,12 +123,6 @@ func Evaluate(p Problem, a Assignment) (Solution, error) {
 	return Solution{Assign: a, Cost: CostOf(p.Table, a), Length: length}, nil
 }
 
-// Feasible reports whether a meets the timing constraint.
-func Feasible(p Problem, a Assignment) bool {
-	s, err := Evaluate(p, a)
-	return err == nil && s.Length <= p.Deadline
-}
-
 // MinMakespan returns the smallest achievable schedule length: the longest
 // path when every node uses its fastest type. It is the tightest deadline
 // for which the instance is feasible, and the first timing constraint used
@@ -140,6 +134,22 @@ func MinMakespan(g *dfg.Graph, t *fu.Table) (int, error) {
 	}
 	length, _, err := g.LongestPath(w)
 	return length, err
+}
+
+// MakespanHorizon returns max(p.Deadline, maximum makespan), where the
+// maximum makespan is the longest path when every node uses its slowest
+// type. Every assignment meets that deadline, so tree curves solved out to
+// the horizon are complete: they answer every later deadline by traceback
+// alone. A graph LongestPath rejects leaves the deadline unchanged.
+func MakespanHorizon(p Problem) int {
+	w := make([]int, p.Graph.N())
+	for v := range w {
+		w[v] = p.Table.MaxTime(v)
+	}
+	if maxLen, _, err := p.Graph.LongestPath(w); err == nil && maxLen > p.Deadline {
+		return maxLen
+	}
+	return p.Deadline
 }
 
 // minCostAssignment assigns every node its cheapest type — the optimum when

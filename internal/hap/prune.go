@@ -42,42 +42,3 @@ func PruneDominated(t *fu.Table) (*fu.Table, int) {
 	}
 	return out, collapsed
 }
-
-// distinctOptions returns one representative type per distinct
-// (time, cost) pair of node v, in ascending type order. Interchangeable
-// duplicates — including the collapsed rows PruneDominated leaves behind —
-// are skipped by the solvers that call this.
-func distinctOptions(t *fu.Table, v int) []fu.TypeID {
-	out := make([]fu.TypeID, 0, t.K())
-	for k := 0; k < t.K(); k++ {
-		dup := false
-		for j := 0; j < k; j++ {
-			if t.Time[v][j] == t.Time[v][k] && t.Cost[v][j] == t.Cost[v][k] {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, fu.TypeID(k))
-		}
-	}
-	return out
-}
-
-// EffectiveOptions counts the distinct (time, cost) pairs per node after
-// pruning — the real branching factor the DPs see.
-func EffectiveOptions(t *fu.Table) []int {
-	out := make([]int, t.N())
-	for v := 0; v < t.N(); v++ {
-		type pair struct {
-			t int
-			c int64
-		}
-		seen := map[pair]bool{}
-		for j := 0; j < t.K(); j++ {
-			seen[pair{t.Time[v][j], t.Cost[v][j]}] = true
-		}
-		out[v] = len(seen)
-	}
-	return out
-}

@@ -25,8 +25,7 @@ func TestPruneDominatedCollapsesStrictlyWorseOptions(t *testing.T) {
 	if out.Time[0][2] != 5 || out.Cost[0][2] != 2 {
 		t.Fatalf("pareto option clobbered: %v %v", out.Time[0], out.Cost[0])
 	}
-	opts := EffectiveOptions(out)
-	if opts[0] != 2 {
+	if opts := appendCandTypes(nil, out, 0); len(opts) != 2 {
 		t.Fatalf("effective options = %v, want 2", opts)
 	}
 }
@@ -87,7 +86,9 @@ func TestEffectiveOptionsCountsDistinctPairs(t *testing.T) {
 	tab := fu.NewTable(2, 3)
 	tab.MustSet(0, []int{1, 1, 2}, []int64{5, 5, 3})
 	tab.MustSet(1, []int{1, 2, 3}, []int64{9, 5, 1})
-	opts := EffectiveOptions(tab)
+	// The candidate types the solvers branch on are the effective options:
+	// one per distinct (time, cost) pair.
+	opts := []int{len(appendCandTypes(nil, tab, 0)), len(appendCandTypes(nil, tab, 1))}
 	if opts[0] != 2 || opts[1] != 3 {
 		t.Fatalf("opts = %v, want [2 3]", opts)
 	}

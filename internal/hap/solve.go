@@ -3,8 +3,6 @@ package hap
 import (
 	"context"
 	"fmt"
-
-	"hetsynth/internal/fu"
 )
 
 // Algorithm selects a HAP solver.
@@ -112,9 +110,4 @@ func SolveCtx(ctx context.Context, p Problem, algo Algorithm) (Solution, error) 
 	default:
 		return Solution{}, fmt.Errorf("hap: unknown algorithm %v", algo)
 	}
-}
-
-// Describe renders an assignment as "name:type" pairs, one per node.
-func Describe(p Problem, lib *fu.Library, a Assignment) []string {
-	return dfgNodeNames(p.Graph, lib, a)
 }

@@ -1,11 +1,5 @@
 package hap
 
-import (
-	"fmt"
-
-	"hetsynth/internal/dfg"
-)
-
 // TreeAssign solves HAP optimally when the DAG portion of the graph is an
 // out-forest (every node has at most one parent). This is Algorithm
 // Tree_Assign of the paper, generalized to forests: the paper's pseudo root
@@ -29,67 +23,22 @@ import (
 // is O((B_children + K·B_v) log) in the breakpoint counts B instead of the
 // dense table's O(L·K), and memory is the total frontier size instead of
 // O(|V|·L). Costs and assignments are identical to the dense formulation
-// (treeAssignDense keeps it as the differential-test oracle). Forests with
+// (treeAssignDense, in densedp_test.go, keeps it as the differential-test
+// oracle). Forests with
 // at least parallelMinDirty nodes are evaluated by a worker pool over
 // independent sibling subtrees.
 //
 // TreeAssign returns ErrShape on non-forests and ErrInfeasible when even
 // all-fastest types miss the deadline.
 // In-forests (fan-in computation trees, the usual shape of filter DFGs) are
-// handled by solving on the transpose: reversing every edge preserves the
-// length of every path and the per-node choices, so the optimum carries over
-// unchanged.
+// handled by solving on the transpose in place (see newTreeSolver):
+// reversing every edge preserves the length of every path and the per-node
+// choices, so the optimum carries over unchanged.
 func TreeAssign(p Problem) (Solution, error) {
 	if err := p.Validate(); err != nil {
 		return Solution{}, err
 	}
-	switch {
-	case outForestShape(p.Graph):
-		return treeAssignMasked(p, nil)
-	case inForestShape(p.Graph):
-		// Solved on the edge-reversed orientation in place (see
-		// newTreeSolver): path lengths and per-node choices are preserved,
-		// so the solution needs no translation back.
-		s, err := newTreeSolver(p, nil, true)
-		if err != nil {
-			return Solution{}, err
-		}
-		defer s.release()
-		return s.solve()
-	default:
-		return Solution{}, fmt.Errorf("%w: Tree_Assign needs an out-forest or in-forest", ErrShape)
-	}
-}
-
-// outForestShape / inForestShape are Graph.IsOutForest / IsInForest minus
-// the acyclicity re-check: the callers here have already run
-// Problem.Validate, which proved the DAG portion acyclic, so only the
-// degree conditions remain to be tested.
-func outForestShape(g *dfg.Graph) bool {
-	for v := 0; v < g.N(); v++ {
-		if g.InDegree(dfg.NodeID(v)) > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-func inForestShape(g *dfg.Graph) bool {
-	for v := 0; v < g.N(); v++ {
-		if g.OutDegree(dfg.NodeID(v)) > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// treeAssignMasked is TreeAssign with an optional per-node type mask:
-// allowed[v][k] == false forbids assigning type k to node v. A nil mask (or
-// nil row) allows everything. It is a one-shot convenience over treeSolver,
-// which DFG_Assign_Repeat uses directly to re-solve incrementally after
-// pinning duplicated nodes.
-func treeAssignMasked(p Problem, allowed [][]bool) (Solution, error) {
-	s, err := newTreeSolver(p, allowed, false)
+	s, err := newTreeSolver(p)
 	if err != nil {
 		return Solution{}, err
 	}

@@ -15,7 +15,7 @@ import (
 // curve, and the paper's benchmark trees are all far below this size.
 const parallelMinDirty = 512
 
-// treeSolver carries the sparse-DP state of one out-forest problem so that
+// treeSolver carries the sparse-DP state of one tree-shaped problem so that
 // callers can re-solve incrementally. TreeAssign builds one, solves once and
 // discards it; DFG_Assign_Repeat keeps it across iterations — pinning a
 // duplicated node's copies dirties only the curves on the copies' ancestor
@@ -23,22 +23,18 @@ const parallelMinDirty = 512
 // path lengths worth of nodes instead of the whole tree.
 type treeSolver struct {
 	p        Problem
-	children [][]dfg.NodeID // zero-delay successors, precomputed once
+	reversed bool           // DP runs on the edge-reversed graph (in-forest input)
+	children [][]dfg.NodeID // zero-delay successors in DP orientation, precomputed once
 	parent   []int32        // unique tree parent, -1 at roots
 	roots    []dfg.NodeID
 	order    []dfg.NodeID // children before parents
 	cand     [][]fu.TypeID
 
-	// Retained per-node curves. The default representation is a curveRef per
-	// node into the solver-owned flat arenas (arena.go): contiguous storage,
-	// 12-byte handles, pooled backing stores. sliceMode switches to one
-	// []curvePoint allocation per node — the representation the arenas
-	// replaced — which is retained as the storage-layout oracle for the
-	// arena differential tests.
-	refs        []curveRef
-	arenas      []*curveArena
-	sliceCurves []curve
-	sliceMode   bool
+	// Retained per-node curves: a curveRef per node into the solver-owned
+	// flat arenas (arena.go) — contiguous storage, 12-byte handles, pooled
+	// backing stores.
+	refs   []curveRef
+	arenas []*curveArena
 
 	// arenaMu guards growth of the arenas slice on the (unreachable in
 	// practice) overflow path of a parallel solve; see recomputeParallel.
@@ -57,28 +53,42 @@ type treeSolver struct {
 	sc     *dpScratch // serial-path scratch, reused across re-solves; nil after release
 }
 
-// newTreeSolver prepares the solver for an out-forest problem, with the same
-// optional per-node type mask treeAssignMasked documents: allowed[v][k] ==
-// false forbids type k on node v; a nil mask (or nil row) allows everything.
-// Every node starts dirty, so the first solve computes the full DP.
+// newTreeSolver prepares the sparse DP for a problem that has passed
+// Problem.Validate, and is the only way into the tree DP. The orientation
+// comes from the zero-delay degree counts of the adjacency pass: an
+// out-forest (every node at most one parent) runs in graph orientation;
+// failing that, an in-forest (every node at most one child) runs on the
+// edge-reversed graph without materializing the transpose — children become
+// the zero-delay predecessors and a plain topological order serves as the
+// children-before-parents order. Reversing edges preserves every path length
+// and the per-node type choices, so the optimum (cost, length, assignment)
+// carries over unchanged. Any other shape is ErrShape.
 //
-// reversed runs the DP on the edge-reversed graph without materializing the
-// transpose: children become the zero-delay predecessors and a plain
-// topological order serves as the children-before-parents order. Reversing
-// edges preserves every path length and the per-node type choices, so the
-// optimum (cost, length, assignment) carries over to the original unchanged —
-// this is how in-forests are solved without copying the graph each call.
-func newTreeSolver(p Problem, allowed [][]bool, reversed bool) (*treeSolver, error) {
-	return newTreeSolverMode(p, allowed, reversed, false)
-}
-
-// newTreeSolverMode is newTreeSolver with an explicit curve-storage mode:
-// sliceMode retains one []curvePoint per node instead of arena refs. Only
-// the arena differential tests ask for slice mode; every production caller
-// goes through newTreeSolver.
-func newTreeSolverMode(p Problem, allowed [][]bool, reversed, sliceMode bool) (*treeSolver, error) {
+// Every node starts dirty, so the first solve computes the full DP.
+func newTreeSolver(p Problem) (*treeSolver, error) {
 	g, t := p.Graph, p.Table
 	n, K := g.N(), t.K()
+	// One pass over the raw edge list counts zero-delay out- and in-degrees:
+	// the shape test and the adjacency row sizes at once.
+	m := g.M()
+	outdeg := make([]int, 2*n)
+	indeg := outdeg[n:]
+	outdeg = outdeg[:n]
+	total := 0
+	for i := 0; i < m; i++ {
+		if e := g.Edge(i); e.Delays == 0 {
+			outdeg[e.From]++
+			indeg[e.To]++
+			total++
+		}
+	}
+	deg, reversed := outdeg, false
+	if maxDegree(indeg) > 1 {
+		if maxDegree(outdeg) > 1 {
+			return nil, fmt.Errorf("%w: the tree DP needs an out-forest or in-forest", ErrShape)
+		}
+		deg, reversed = indeg, true
+	}
 	var order []dfg.NodeID
 	var err error
 	if reversed {
@@ -90,52 +100,31 @@ func newTreeSolverMode(p Problem, allowed [][]bool, reversed, sliceMode bool) (*
 		return nil, err
 	}
 	s := &treeSolver{
-		p:         p,
-		children:  make([][]dfg.NodeID, n),
-		parent:    make([]int32, n),
-		order:     order,
-		cand:      make([][]fu.TypeID, n),
-		sliceMode: sliceMode,
-		dirty:     make([]bool, n),
-		ndirty:    n,
+		p:        p,
+		reversed: reversed,
+		children: make([][]dfg.NodeID, n),
+		parent:   make([]int32, n),
+		order:    order,
+		cand:     make([][]fu.TypeID, n),
+		refs:     make([]curveRef, n),
+		dirty:    make([]bool, n),
+		ndirty:   n,
 		// hetsynth:pool-escape solver-owned scratch, held until release() recycles it
 		sc: getScratch(),
 	}
-	if sliceMode {
-		s.sliceCurves = make([]curve, n)
-	} else {
-		s.refs = make([]curveRef, n)
-		// hetsynth:pool-escape serial arena, held until release() recycles it
-		s.arenas = append(s.arenas, getArena())
-	}
+	// hetsynth:pool-escape serial arena, held until release() recycles it
+	s.arenas = append(s.arenas, getArena())
 	for v := 0; v < n; v++ {
 		s.parent[v] = -1
 		s.dirty[v] = true
 	}
-	// Adjacency from the raw edge list into one shared arena: two
-	// allocations total instead of one g.Succ slice per node.
-	m := g.M()
-	deg := make([]int, n)
-	total := 0
-	for i := 0; i < m; i++ {
-		if e := g.Edge(i); e.Delays == 0 {
-			if reversed {
-				deg[e.To]++
-			} else {
-				deg[e.From]++
-			}
-			total++
-		}
-	}
+	// Adjacency from the raw edge list into one shared arena: one
+	// allocation for every row instead of one g.Succ slice per node.
 	childArena := make([]dfg.NodeID, 0, total)
 	for v := 0; v < n; v++ {
 		at := len(childArena)
-		s.children[v] = childArena[at:at:at+deg[v]]
+		s.children[v] = childArena[at : at : at+deg[v]]
 		childArena = childArena[:at+deg[v]]
-	}
-	fill := deg // reuse as per-node cursor
-	for v := range fill {
-		fill[v] = 0
 	}
 	for i := 0; i < m; i++ {
 		e := g.Edge(i)
@@ -146,9 +135,7 @@ func newTreeSolverMode(p Problem, allowed [][]bool, reversed, sliceMode bool) (*
 		if reversed {
 			from, to = to, from
 		}
-		s.children[from] = s.children[from][:fill[from]+1]
-		s.children[from][fill[from]] = to
-		fill[from]++
+		s.children[from] = append(s.children[from], to)
 		s.parent[to] = int32(from)
 	}
 	for v := 0; v < n; v++ {
@@ -156,32 +143,38 @@ func newTreeSolverMode(p Problem, allowed [][]bool, reversed, sliceMode bool) (*
 			s.roots = append(s.roots, dfg.NodeID(v))
 		}
 	}
-	// Per node, the candidate types: masked rows verbatim, unmasked rows
-	// with duplicate (time, cost) pairs collapsed — interchangeable options
-	// cannot change the optimum, and skipping them is what makes the
-	// PruneDominated pre-pass pay off inside the DP. One arena backs every
-	// row (each appends at most K entries, so it never reallocates).
+	// Per node, the candidate types with duplicate (time, cost) pairs
+	// collapsed — interchangeable options cannot change the optimum, and
+	// skipping them is what makes the PruneDominated pre-pass pay off inside
+	// the DP. One arena backs every row (each appends at most K entries, so
+	// it never reallocates).
 	candArena := make([]fu.TypeID, 0, n*K)
 	for v := 0; v < n; v++ {
 		at := len(candArena)
-		if allowed != nil && allowed[v] != nil {
-			for k := 0; k < K; k++ {
-				if allowed[v][k] {
-					candArena = append(candArena, fu.TypeID(k))
-				}
-			}
-		} else {
-			candArena = appendCandTypes(candArena, t, v)
-		}
+		candArena = appendCandTypes(candArena, t, v)
 		s.cand[v] = candArena[at:len(candArena):len(candArena)]
 	}
 	return s, nil
 }
 
+// maxDegree returns the largest entry of deg (0 when empty).
+func maxDegree(deg []int) int {
+	m := 0
+	for _, d := range deg {
+		if d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 // appendCandTypes appends node v's candidate types to dst: every type of the
 // table row, with duplicate (time, cost) pairs collapsed onto the lowest
-// type id. Construction and incremental row edits both go through this one
-// rule, so a re-solved row can never diverge from a from-scratch build.
+// type id. Interchangeable duplicates — including the collapsed rows
+// PruneDominated leaves behind — cannot change an optimum, so every solver
+// that branches on types (tree construction, incremental row edits and both
+// branch-and-bound searches) goes through this one rule, and a re-solved row
+// can never diverge from a from-scratch build.
 func appendCandTypes(dst []fu.TypeID, t *fu.Table, v int) []fu.TypeID {
 	K := t.K()
 	for k := 0; k < K; k++ {
@@ -218,16 +211,13 @@ func (s *treeSolver) release() {
 	s.refs = nil
 }
 
-// curveOf returns node v's retained curve: a view into the owning arena (or
-// the node's own slice in slice mode). Callers must not append to it; the
-// arena view's capacity is pinned, so a stray append cannot corrupt a
-// neighbor, but the result must be treated as read-only either way.
+// curveOf returns node v's retained curve: a view into the owning arena.
+// Callers must not append to it; the view's capacity is pinned, so a stray
+// append cannot corrupt a neighbor, but the result must be treated as
+// read-only either way.
 //
 // hetsynth:hotpath
 func (s *treeSolver) curveOf(v dfg.NodeID) curve {
-	if s.sliceMode {
-		return s.sliceCurves[v]
-	}
 	r := s.refs[v]
 	if r.n == 0 {
 		return nil
@@ -237,19 +227,10 @@ func (s *treeSolver) curveOf(v dfg.NodeID) curve {
 }
 
 // storeCurve retains pts (a transient envelope result) as node v's curve by
-// copying it into arena ar. In slice mode the copy is a fresh per-node
-// allocation instead. A nil/empty pts records the infeasible curve.
+// copying it into arena ar. A nil/empty pts records the infeasible curve.
 //
 // hetsynth:hotpath
 func (s *treeSolver) storeCurve(v dfg.NodeID, pts curve, ar int32) {
-	if s.sliceMode {
-		if len(pts) == 0 {
-			s.sliceCurves[v] = nil
-			return
-		}
-		s.sliceCurves[v] = append(curve(nil), pts...)
-		return
-	}
 	if len(pts) == 0 {
 		s.refs[v] = curveRef{}
 		return
@@ -424,20 +405,14 @@ func (s *treeSolver) recomputeParallel() {
 	// the arenas slice itself stays immutable during the run (the overflow
 	// path below is the sole, mutex-guarded exception).
 	base := len(s.arenas)
-	if !s.sliceMode {
-		for w := 0; w < workers; w++ {
-			// hetsynth:pool-escape per-worker arena, held until release() recycles it
-			s.arenas = append(s.arenas, getArena())
-		}
+	for w := 0; w < workers; w++ {
+		// hetsynth:pool-escape per-worker arena, held until release() recycles it
+		s.arenas = append(s.arenas, getArena())
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		ar := int32(0)
-		var a *curveArena
-		if !s.sliceMode {
-			ar = int32(base + w)
-			a = s.arenas[ar]
-		}
+		ar := int32(base + w)
+		a := s.arenas[ar]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -445,10 +420,7 @@ func (s *treeSolver) recomputeParallel() {
 			defer putScratch(sc)
 			for v := range ready {
 				pts := s.computeCurve(int(v), sc, tmp)
-				if s.sliceMode {
-					s.storeCurve(v, pts, 0)
-					tmp[v] = s.sliceCurves[v]
-				} else if len(pts) == 0 {
+				if len(pts) == 0 {
 					s.refs[v] = curveRef{}
 					tmp[v] = nil
 				} else {

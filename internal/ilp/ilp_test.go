@@ -175,3 +175,9 @@ func TestMixedIntegerContinuous(t *testing.T) {
 		t.Fatalf("obj=%v status=%v x=%v", res.Obj, res.Status, res.X)
 	}
 }
+
+// NumVars reports the number of variables.
+func (m *Model) NumVars() int { return m.nvars }
+
+// VarName returns the label of variable v.
+func (m *Model) VarName(v int) string { return m.name[v] }

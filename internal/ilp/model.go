@@ -27,9 +27,6 @@ type Constraint struct {
 // NewModel returns an empty minimization model.
 func NewModel() *Model { return &Model{} }
 
-// NumVars reports the number of variables.
-func (m *Model) NumVars() int { return m.nvars }
-
 // AddVar adds a continuous variable with objective coefficient c and lower
 // bound 0, returning its index.
 func (m *Model) AddVar(name string, c float64) int {
@@ -51,9 +48,6 @@ func (m *Model) AddBinary(name string, c float64) int {
 
 // SetUpper bounds variable v above by ub.
 func (m *Model) SetUpper(v int, ub float64) { m.upper[v] = ub }
-
-// VarName returns the label of variable v.
-func (m *Model) VarName(v int) string { return m.name[v] }
 
 // Add appends the constraint sum(coef_v · x_v) rel rhs.
 func (m *Model) Add(coef map[int]float64, rel Rel, rhs float64) error {

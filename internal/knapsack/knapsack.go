@@ -48,6 +48,7 @@ func (in Instance) Validate() error {
 // Solve returns the maximum achievable value and one optimal selection
 // (selected[i] reports whether item i is taken), using the standard
 // O(n·Capacity) dynamic program.
+// hetsynth:keep NP-completeness construction (§4), exercised by its reduction tests
 func Solve(in Instance) (best int64, selected []bool, err error) {
 	if err := in.Validate(); err != nil {
 		return 0, nil, err
@@ -83,6 +84,7 @@ func Solve(in Instance) (best int64, selected []bool, err error) {
 
 // SolveBrute enumerates all 2^n subsets; it exists as an independent oracle
 // for property tests and refuses instances with more than 24 items.
+// hetsynth:keep NP-completeness construction (§4), exercised by its reduction tests
 func SolveBrute(in Instance) (int64, error) {
 	if err := in.Validate(); err != nil {
 		return 0, err
@@ -129,6 +131,7 @@ const SelectType fu.TypeID = 0
 // selected items fit the knapsack, and its system cost is
 // n·VMax − (total selected value). Minimizing HAP cost therefore maximizes
 // knapsack value, so a polynomial HAP solver would solve knapsack.
+// hetsynth:keep NP-completeness construction (§4), exercised by its reduction tests
 func Reduce(in Instance) (*Reduction, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -162,12 +165,14 @@ func Reduce(in Instance) (*Reduction, error) {
 
 // RecoverValue maps the optimal HAP system cost back to the optimal knapsack
 // value: value = n·VMax − cost.
+// hetsynth:keep NP-completeness construction (§4), exercised by its reduction tests
 func (r *Reduction) RecoverValue(hapCost int64) int64 {
 	return int64(r.Graph.N())*r.VMax - hapCost
 }
 
 // RecoverSelection maps a HAP assignment (one type per path node) back to
 // the knapsack selection it encodes.
+// hetsynth:keep NP-completeness construction (§4), exercised by its reduction tests
 func (r *Reduction) RecoverSelection(assignment []fu.TypeID) []bool {
 	sel := make([]bool, len(assignment))
 	for i, k := range assignment {

@@ -2,9 +2,14 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -23,7 +28,7 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
-	diags := RunPackage(pkg, []*Analyzer{a})
+	diags := append(RunPackage(pkg, []*Analyzer{a}), RunModule([]*Package{pkg}, []*Analyzer{a})...)
 
 	type key struct {
 		file string
@@ -102,6 +107,7 @@ func TestPoolSafeFixture(t *testing.T)      { runFixture(t, PoolSafe, "poolsafe"
 func TestPinPairFixture(t *testing.T)       { runFixture(t, PinPair, "pinpair") }
 func TestArenaEscapeFixture(t *testing.T)   { runFixture(t, ArenaEscape, "arenaescape") }
 func TestAtomicFieldFixture(t *testing.T)   { runFixture(t, AtomicField, "atomicfield") }
+func TestDeadCodeFixture(t *testing.T)      { runFixture(t, DeadCode, "deadcode") }
 
 // TestPoolSafeRequiresPut mirrors TestGoroutineLifeRequiresJoin for the
 // dataflow generation: the exact same function passes with its Put present
@@ -259,4 +265,58 @@ func f(x *h) {
 	if ds := diagnosticsOf(writeFixture(t, withReason), PoolSafe); len(ds) != 0 {
 		t.Errorf("justified pool-escape annotation should suppress poolsafe, got %v", ds)
 	}
+}
+
+// LoadDir parses and type-checks every .go file in dir as one package whose
+// imports are restricted to the standard library. It exists for analyzer
+// fixtures (testdata/src/...), which live outside the module proper.
+func LoadDir(dir string) (*Package, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	importSet := map[string]bool{}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		for _, imp := range f.Imports {
+			importSet[strings.Trim(imp.Path.Value, `"`)] = true
+		}
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no .go files in %s", dir)
+	}
+	exports := map[string]string{}
+	if len(importSet) > 0 {
+		var paths []string
+		for p := range importSet {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		listed, err := goListCached(dir, paths)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range listed {
+			if p.Export != "" {
+				exports[p.ImportPath] = p.Export
+			}
+		}
+	}
+	info := newInfo()
+	conf := types.Config{Importer: newImporter(fset, exports)}
+	name := files[0].Name.Name
+	pkg, err := conf.Check(name, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("lint: typecheck fixture %s: %v", dir, err)
+	}
+	return &Package{Path: name, Dir: dir, Fset: fset, Files: files, Types: pkg, Info: info}, nil
 }

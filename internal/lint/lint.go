@@ -47,13 +47,15 @@ import (
 )
 
 // An Analyzer is one named check. Run inspects a single type-checked package
-// through its Pass and reports findings via Pass.Report. A nil Run marks a
-// whole-module gate (escapebudget) that the driver executes outside the
-// per-package loop; RunPackage skips it.
+// through its Pass and reports findings via Pass.Report. RunModule instead
+// sees every loaded package at once (deadcode); Run drives it after the
+// per-package loop. With neither set the analyzer is a whole-module gate
+// (escapebudget) that the driver executes on its own.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass)
+	Name      string
+	Doc       string
+	Run       func(*Pass)
+	RunModule func([]*Package) []Diagnostic
 }
 
 // A Pass hands one type-checked package to one analyzer.
@@ -89,12 +91,13 @@ func (d Diagnostic) String() string {
 }
 
 // All returns the full suite in deterministic order: the five lexical
-// analyzers, the four dataflow analyzers, and the escape-budget gate.
+// analyzers, the four dataflow analyzers, the whole-module deadcode
+// analysis, and the escape-budget gate.
 func All() []*Analyzer {
 	return []*Analyzer{
 		CtxPropagate, GuardedBy, GoroutineLife, APIDoc, RetVal,
 		PoolSafe, PinPair, ArenaEscape, AtomicField,
-		EscapeBudgetAnalyzer,
+		DeadCode, EscapeBudgetAnalyzer,
 	}
 }
 
@@ -143,6 +146,37 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		a.Run(pass)
 	}
+	sortDiagnostics(out)
+	return out
+}
+
+// RunModule runs the whole-module analyzers over the loaded packages and
+// returns the findings that survive suppression filtering, in position
+// order.
+func RunModule(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	sup := suppressions{}
+	for _, pkg := range pkgs {
+		for file, lines := range collectSuppressions(pkg.Fset, pkg.Files) {
+			sup[file] = lines
+		}
+	}
+	var out []Diagnostic
+	for _, a := range analyzers {
+		if a.RunModule == nil {
+			continue
+		}
+		for _, d := range a.RunModule(pkgs) {
+			if !sup.suppressed(d) {
+				out = append(out, d)
+			}
+		}
+	}
+	sortDiagnostics(out)
+	return out
+}
+
+// sortDiagnostics orders findings by position, then analyzer name.
+func sortDiagnostics(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -156,7 +190,6 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return out
 }
 
 // Run loads the packages matched by patterns (resolved relative to dir) and
@@ -170,7 +203,7 @@ func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, er
 	for _, pkg := range pkgs {
 		out = append(out, RunPackage(pkg, analyzers)...)
 	}
-	return out, nil
+	return append(out, RunModule(pkgs, analyzers)...), nil
 }
 
 // ---- suppression comments ----

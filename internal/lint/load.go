@@ -142,57 +142,3 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	}
 	return out, nil
 }
-
-// LoadDir parses and type-checks every .go file in dir as one package whose
-// imports are restricted to the standard library. It exists for analyzer
-// fixtures (testdata/src/...), which live outside the module proper.
-func LoadDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	importSet := map[string]bool{}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			importSet[strings.Trim(imp.Path.Value, `"`)] = true
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no .go files in %s", dir)
-	}
-	exports := map[string]string{}
-	if len(importSet) > 0 {
-		var paths []string
-		for p := range importSet {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		listed, err := goListCached(dir, paths)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	info := newInfo()
-	conf := types.Config{Importer: newImporter(fset, exports)}
-	name := files[0].Name.Name
-	pkg, err := conf.Check(name, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: typecheck fixture %s: %v", dir, err)
-	}
-	return &Package{Path: name, Dir: dir, Fset: fset, Files: files, Types: pkg, Info: info}, nil
-}

@@ -4,8 +4,8 @@ import "testing"
 
 // TestSuiteCleanOnRepo is the meta-check behind `make lint`: the full
 // analyzer suite — including the poolsafe/pinpair/arenaescape/atomicfield
-// dataflow generation — run over the repository itself, must report
-// nothing. Any new finding either reveals a real invariant violation to fix
+// dataflow generation and the whole-module deadcode analysis — run over the
+// repository itself, must report nothing. Any new finding either reveals a real invariant violation to fix
 // or needs an explicit justification comment at the site. The escapebudget
 // gate has no per-package Run and is exercised separately by
 // TestEscapeBudgetCleanOnRepo.
@@ -13,7 +13,8 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 	suite := All()
 	want := []string{
 		"ctxpropagate", "guardedby", "goroutinelife", "apidoc", "retval",
-		"poolsafe", "pinpair", "arenaescape", "atomicfield", "escapebudget",
+		"poolsafe", "pinpair", "arenaescape", "atomicfield", "deadcode",
+		"escapebudget",
 	}
 	if len(suite) != len(want) {
 		t.Fatalf("All() = %d analyzers, want %d", len(suite), len(want))

@@ -87,6 +87,7 @@ type TaskSet []Task
 type Config []int
 
 // Total returns the summed FU instance count of the configuration.
+// hetsynth:keep perfbench
 func (c Config) Total() int {
 	n := 0
 	for _, m := range c {

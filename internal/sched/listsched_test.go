@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -240,4 +241,105 @@ func TestListScheduleDifferentialVsScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// listScheduleScan is the original O(V) per-step implementation: scan all
+// nodes for readiness each control step, insertion-sort the ready list, pack
+// greedily. It is retained verbatim as the differential oracle ListSchedule
+// is tested against — the two must produce bit-identical schedules.
+func listScheduleScan(g *dfg.Graph, tab *fu.Table, assign hap.Assignment, cfg Config) (*Schedule, error) {
+	if len(assign) != g.N() {
+		return nil, fmt.Errorf("sched: assignment covers %d nodes, graph has %d", len(assign), g.N())
+	}
+	if len(cfg) != tab.K() {
+		return nil, fmt.Errorf("sched: config covers %d types, table has %d", len(cfg), tab.K())
+	}
+	times := hap.Times(tab, assign)
+	for v := 0; v < g.N(); v++ {
+		if cfg[assign[v]] < 1 {
+			return nil, fmt.Errorf("sched: node %s needs type %d but config %v has none",
+				g.Node(dfg.NodeID(v)).Name, assign[v], cfg)
+		}
+	}
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+
+	prio := make([]int, g.N())
+	for i := len(order) - 1; i >= 0; i-- {
+		v := order[i]
+		prio[v] = times[v]
+		for _, c := range g.Succ(v) {
+			if p := prio[c] + times[v]; p > prio[v] {
+				prio[v] = p
+			}
+		}
+	}
+
+	n := g.N()
+	busyUntil := make([][]int, len(cfg))
+	for t := range cfg {
+		busyUntil[t] = make([]int, cfg[t])
+	}
+	s := &Schedule{
+		Assign:   assign.Clone(),
+		Start:    make([]int, n),
+		Times:    times,
+		Instance: make([]int, n),
+	}
+	remaining := n
+	horizon := 1
+	for v := 0; v < n; v++ {
+		horizon += times[v]
+	}
+	for step := 1; step <= horizon && remaining > 0; step++ {
+		var ready []int
+		for v := 0; v < n; v++ {
+			if s.Start[v] != 0 {
+				continue
+			}
+			ok := true
+			for _, u := range g.Pred(dfg.NodeID(v)) {
+				if s.Start[u] == 0 || s.Start[u]+times[u]-1 >= step {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				ready = append(ready, v)
+			}
+		}
+		for i := 1; i < len(ready); i++ {
+			for j := i; j > 0; j-- {
+				a, b := ready[j-1], ready[j]
+				if prio[a] > prio[b] || (prio[a] == prio[b] && a < b) {
+					break
+				}
+				ready[j-1], ready[j] = b, a
+			}
+		}
+		for _, v := range ready {
+			t := assign[v]
+			for i, busy := range busyUntil[t] {
+				if busy < step {
+					busyUntil[t][i] = step + times[v] - 1
+					s.Start[v] = step
+					s.Instance[v] = i
+					if f := step + times[v] - 1; f > s.Length {
+						s.Length = f
+					}
+					remaining--
+					break
+				}
+			}
+		}
+	}
+	if remaining > 0 {
+		return nil, fmt.Errorf("sched: internal error: %d nodes unscheduled within horizon", remaining)
+	}
+	if err := ValidateSchedule(g, s, cfg, s.Length); err != nil {
+		return nil, fmt.Errorf("sched: internal error: %w", err)
+	}
+	return s, nil
 }

@@ -155,20 +155,6 @@ func (c *lruCache) len() int {
 	return c.ll.Len()
 }
 
-// pinned reports the total pin count held across this cache's entries. At
-// any quiet point — no request in flight, no batch group running — every
-// acquire/putAcquired has been balanced by a release, so it must be zero;
-// TestPinBalance asserts exactly that.
-func (c *lruCache) pinned() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		n += el.Value.(*lruEntry).pins
-	}
-	return n
-}
-
 // shardedCache spreads an LRU over a power-of-two number of lruCache
 // shards selected by a hash of the key, so concurrent readers on distinct
 // keys (the all-cache-hit hot path at high client fan-out) never contend on
@@ -237,15 +223,6 @@ func (c *shardedCache) putAcquired(key string, val any) { c.shard(key).putAcquir
 
 // release drops one pin from the key's entry.
 func (c *shardedCache) release(key string) { c.shard(key).release(key) }
-
-// pinnedByShard reports each shard's total pin count, in shard order.
-func (c *shardedCache) pinnedByShard() []int {
-	out := make([]int, len(c.shards))
-	for i, s := range c.shards {
-		out[i] = s.pinned()
-	}
-	return out
-}
 
 // len reports the total number of cached entries across all shards.
 func (c *shardedCache) len() int {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"strings"
 	"testing"
 )
 
@@ -22,7 +21,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(`{"bench":"elliptic","seed":1,"slack":4,"types":99}`)
 	f.Add(`[]`)
 	f.Fuzz(func(t *testing.T, body string) {
-		spec, err := decodeSolveRequest(strings.NewReader(body))
+		spec, err := decodeSolveRequestBytes([]byte(body))
 		if err != nil {
 			var ae *apiError
 			if !errors.As(err, &ae) {
@@ -39,7 +38,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if spec.key == "" || spec.instKey == "" {
 			t.Fatal("accepted spec with empty canonical keys")
 		}
-		again, err := decodeSolveRequest(strings.NewReader(body))
+		again, err := decodeSolveRequestBytes([]byte(body))
 		if err != nil {
 			t.Fatalf("body accepted once, rejected on re-decode: %v", err)
 		}

@@ -97,3 +97,26 @@ func TestPinBalance(t *testing.T) {
 		}
 	}
 }
+
+// pinned reports the total pin count held across this cache's entries. At
+// any quiet point — no request in flight, no batch group running — every
+// acquire/putAcquired has been balanced by a release, so it must be zero;
+// TestPinBalance asserts exactly that.
+func (c *lruCache) pinned() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		n += el.Value.(*lruEntry).pins
+	}
+	return n
+}
+
+// pinnedByShard reports each shard's total pin count, in shard order.
+func (c *shardedCache) pinnedByShard() []int {
+	out := make([]int, len(c.shards))
+	for i, s := range c.shards {
+		out[i] = s.pinned()
+	}
+	return out
+}

@@ -177,24 +177,23 @@ type solveSpec struct {
 	anytime bool   // solve through the anytime ladder, report quality + gap
 }
 
-// decodeSolveRequest parses and resolves a request body into a solveSpec.
-// Every failure is a *apiError with status 400, so handlers can surface
-// malformed inputs uniformly.
-func decodeSolveRequest(r io.Reader) (*solveSpec, error) {
-	dec := json.NewDecoder(io.LimitReader(r, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	var req SolveRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, badRequest("invalid request JSON: %v", err)
+// readSolveRequest reads a JSON solve request body through readBody — so an
+// oversize body is the same 400 /v1/solve answers — and decodes it with
+// decodeSolveRequestBytes. The pooled body buffer is recycled on return; the
+// decoded spec holds no reference into it.
+func readSolveRequest(r io.Reader) (*solveSpec, error) {
+	buf := getBuf()
+	defer putBuf(buf)
+	body, aerr := readBody(buf, r)
+	if aerr != nil {
+		return nil, aerr
 	}
-	if dec.More() {
-		return nil, badRequest("trailing data after request object")
-	}
-	return resolve(&req)
+	return decodeSolveRequestBytes(body)
 }
 
-// decodeSolveRequestBytes is decodeSolveRequest over an in-memory body the
-// caller has already size-checked (readBody enforces maxBodyBytes).
+// decodeSolveRequestBytes parses and resolves a JSON request body into a
+// solveSpec. The caller has already size-checked the body (readBody enforces
+// maxBodyBytes). Errors are *apiError (status 400).
 func decodeSolveRequestBytes(b []byte) (*solveSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
@@ -437,12 +436,32 @@ func computeDeadlineMS(r *http.Request) (int, *apiError) {
 	return ms, nil
 }
 
+// errSessionEvicted is the cancellation cause of a session's context: a
+// solve it kills was aborted by a DELETE, TTL, LRU or shutdown eviction, not
+// by the client, so the request answers 404 ("evicted → re-PUT").
+var errSessionEvicted = errors.New("instance session evicted")
+
+// solveErrCause swaps a solve's context error for ctx's cancellation cause,
+// telling an evicted session (errSessionEvicted) apart from a client that
+// went away (context.Canceled) and a spent budget. Other errors pass through.
+func solveErrCause(ctx context.Context, err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if cause := context.Cause(ctx); cause != nil {
+			return cause
+		}
+	}
+	return err
+}
+
 // classifySolveErr maps solver errors onto HTTP statuses: infeasible and
 // oversized instances are unprocessable (the request was well-formed), shape
 // errors are the client picking the wrong algorithm (400), timeouts are 504,
+// a session eviction (errSessionEvicted, see solveErrCause) is 404, other
 // cancellations 499 (client closed request, nginx-style), anything else 500.
 func classifySolveErr(err error) *apiError {
 	switch {
+	case errors.Is(err, errSessionEvicted):
+		return &apiError{Status: 404, Msg: "instance session evicted"}
 	case errors.Is(err, hap.ErrInfeasible):
 		return &apiError{Status: 422, Msg: "infeasible: no assignment meets the timing constraint"}
 	case errors.Is(err, hap.ErrShape):

@@ -214,6 +214,7 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 }
 
 // Close drains the server without a listener (tests, embedded use).
+// hetsynth:keep perfbench; embedders and tests without a listener
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.evictAllSessions("shutdown")
@@ -221,12 +222,6 @@ func (s *Server) Close() {
 	s.baseCancel()
 	s.sessWG.Wait()
 }
-
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// Metrics returns a point-in-time snapshot of the operational counters.
-func (s *Server) Metrics() MetricsSnapshot { return s.met.snapshot(s.cache.len(), s.sessions.len()) }
 
 // ---- solve pipeline ----
 
@@ -424,16 +419,8 @@ func (s *Server) frontierSolve(spec *solveSpec) (*hap.FrontierSolver, hap.Soluti
 		pinned = true
 	}
 	if fs == nil || (!fs.Complete() && fs.Horizon() < spec.prob.Deadline) {
-		horizon := spec.prob.Deadline
-		wmax := make([]int, spec.prob.Graph.N())
-		for v := range wmax {
-			wmax[v] = spec.prob.Table.MaxTime(v)
-		}
-		if maxLen, _, err := spec.prob.Graph.LongestPath(wmax); err == nil && maxLen > horizon {
-			horizon = maxLen
-		}
 		wide := spec.prob
-		wide.Deadline = horizon
+		wide.Deadline = hap.MakespanHorizon(spec.prob)
 		built, err := hap.NewFrontierSolver(wide)
 		if err != nil {
 			if pinned {
@@ -713,7 +700,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeSolveRequest(r.Body)
+	spec, err := readSolveRequest(r.Body)
 	if err != nil {
 		s.met.badRequests.Add(1)
 		writeErr(w, err.(*apiError))

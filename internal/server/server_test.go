@@ -470,6 +470,24 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestOversizeBodyRejectedOnEveryJSONSolveEndpoint: /v1/solve, /v1/jobs
+// and session PUT all read their body through readBody, so one over the
+// size cap is the same 400 everywhere.
+func TestOversizeBodyRejectedOnEveryJSONSolveEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := `{"bench":"volterra","seed":1,"slack":2,"pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	for _, ep := range []struct{ method, path string }{
+		{"POST", "/v1/solve"},
+		{"POST", "/v1/jobs"},
+		{"PUT", "/v1/instances/big"},
+	} {
+		code, m := postJSON(t, ts, ep.method, ep.path, body)
+		if msg, _ := m["error"].(string); code != 400 || !strings.Contains(msg, "exceeds") {
+			t.Errorf("%s %s: status %d (%v), want 400 body-size rejection", ep.method, ep.path, code, msg)
+		}
+	}
+}
+
 func TestInlineGraphAndTable(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{
@@ -623,3 +641,6 @@ func mustJSON(t *testing.T, v any) []byte {
 	}
 	return b
 }
+
+// Metrics returns a point-in-time snapshot of the operational counters.
+func (s *Server) Metrics() MetricsSnapshot { return s.met.snapshot(s.cache.len(), s.sessions.len()) }

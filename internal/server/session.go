@@ -92,10 +92,11 @@ type session struct {
 	anytime  bool
 	timeout  int // sticky compute budget from the PUT body (ms); 0 = server default
 
-	// ctx parents every solve the session runs; cancel fires at eviction, so
-	// an in-flight ladder dies with its session instead of outliving it.
+	// ctx parents every solve the session runs; cancel fires at eviction with
+	// cause errSessionEvicted, so an in-flight ladder dies with its session
+	// instead of outliving it, and its request answers 404, not 499.
 	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 
 	// opMu serializes whole operations: staging, solver mutation and commit
 	// run under it, so the state below is only ever touched by one PATCH (or
@@ -549,7 +550,7 @@ func (s *Server) solveSession(ctx context.Context, ss *session, prob hap.Problem
 		out.infeasible = true
 		return out, nil
 	default:
-		return nil, classifySolveErr(err)
+		return nil, classifySolveErr(solveErrCause(ctx, err))
 	}
 	res := &SolveResult{
 		Algorithm:  ss.algoName,
@@ -662,7 +663,7 @@ func (s *Server) evictSession(ss *session, reason string) {
 	if !first {
 		return
 	}
-	ss.cancel()
+	ss.cancel(errSessionEvicted)
 	s.sessions.remove(ss.id, ss)
 	ss.opMu.Lock()
 	if ss.inc != nil {
@@ -772,7 +773,7 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, badRequest("invalid instance id (want 1-64 chars of [A-Za-z0-9._-])"))
 		return
 	}
-	spec, err := decodeSolveRequest(r.Body)
+	spec, err := readSolveRequest(r.Body)
 	if err != nil {
 		s.met.badRequests.Add(1)
 		writeErr(w, err.(*apiError))
@@ -807,7 +808,7 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 		enc:      canon.NewInstanceEnc(spec.prob.Graph, spec.prob.Table),
 		lastUsed: time.Now(),
 	}
-	ss.ctx, ss.cancel = context.WithCancel(s.baseCtx)
+	ss.ctx, ss.cancel = context.WithCancelCause(s.baseCtx)
 	if spec.tree {
 		if inc, ierr := hap.NewIncrementalSolver(spec.prob); ierr == nil {
 			ss.inc = inc
@@ -824,12 +825,12 @@ func (s *Server) handleSessionPut(w http.ResponseWriter, r *http.Request) {
 	var out *solveOut
 	var aerr *apiError
 	if cerr := ctx.Err(); cerr != nil {
-		aerr = classifySolveErr(cerr)
+		aerr = classifySolveErr(solveErrCause(ctx, cerr))
 	} else {
 		out, aerr = s.solveSession(ctx, ss, spec.prob, 1)
 	}
 	if aerr != nil {
-		ss.cancel()
+		ss.cancel(nil)
 		if ss.inc != nil {
 			ss.inc.Close()
 			ss.inc = nil
@@ -921,9 +922,9 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		s.preSolve(ctx)
 	}
 	if cerr := ctx.Err(); cerr != nil {
-		// Nothing staged has touched the session yet: a dead budget or a gone
-		// client aborts with the state exactly as it was.
-		writeErr(w, classifySolveErr(cerr))
+		// Nothing staged has touched the session yet: a dead budget, a gone
+		// client or an eviction aborts with the state exactly as it was.
+		writeErr(w, classifySolveErr(solveErrCause(ctx, cerr)))
 		return
 	}
 

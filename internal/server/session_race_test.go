@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -131,5 +132,39 @@ func TestSessionConcurrencySoak(t *testing.T) {
 		if pins != 0 {
 			t.Errorf("cache shard %d: %d session pin(s) leaked", i, pins)
 		}
+	}
+}
+
+// TestSessionEvictedMidPatchAnswers404 evicts a session from inside the
+// PATCH's preSolve hook — after the handler has resolved the session and
+// taken its op lock, before the solve runs — and requires 404, the evicted
+// status the patch contract promises, not 499: the client closed nothing.
+func TestSessionEvictedMidPatchAnswers404(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	m := randMirror(rand.New(rand.NewSource(3)))
+	if code, view := postJSON(t, ts, "PUT", "/v1/instances/ev", m.putBody(t)); code != 201 {
+		t.Fatalf("PUT: status %d: %v", code, view)
+	}
+	ss, ok := s.sessions.get("ev")
+	if !ok {
+		t.Fatal("session not stored after PUT")
+	}
+	evicted := make(chan struct{})
+	s.preSolve = func(ctx context.Context) {
+		// evictSession cancels the session context first, then waits for the
+		// op lock this PATCH holds, so it runs aside until the PATCH returns.
+		go func() {
+			defer close(evicted)
+			s.evictSession(ss, "deleted")
+		}()
+		<-ctx.Done()
+	}
+	code, body := postJSON(t, ts, "PATCH", "/v1/instances/ev", `{"ops":[]}`)
+	<-evicted
+	if code != 404 {
+		t.Fatalf("PATCH evicted mid-request: status %d (%v), want 404", code, body)
+	}
+	if code, _ := postJSON(t, ts, "GET", "/v1/instances/ev", ""); code != 404 {
+		t.Fatalf("GET after eviction: status %d, want 404", code)
 	}
 }

@@ -66,9 +66,3 @@ func (f *flight) Done() <-chan struct{} { return f.done }
 
 // Result is valid only after Done is closed.
 func (f *flight) Result() (*SolveResult, error) { return f.res.val, f.res.err }
-
-// Wait blocks until the flight completes and returns its result.
-func (f *flight) Wait() (*SolveResult, error) {
-	<-f.done
-	return f.res.val, f.res.err
-}

@@ -106,3 +106,9 @@ func TestFlightJoin(t *testing.T) {
 		t.Fatal("Join found a finished flight")
 	}
 }
+
+// Wait blocks until the flight completes and returns its result.
+func (f *flight) Wait() (*SolveResult, error) {
+	<-f.done
+	return f.res.val, f.res.err
+}

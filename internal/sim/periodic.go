@@ -84,6 +84,7 @@ func gcdInt(a, b int) int {
 // differentially tested against — an admitted placement must report zero
 // misses. O(total node executions · log) per channel plus O(jobs · graph)
 // for heavy tasks.
+// hetsynth:keep perfbench; ground truth for the rta differential tests
 func SimulatePeriodic(tasks []PlacedTask) (PeriodicReport, error) {
 	if len(tasks) == 0 {
 		return PeriodicReport{}, errors.New("sim: no placed tasks")

@@ -18,7 +18,6 @@ import (
 
 	"hetsynth/internal/dfg"
 	"hetsynth/internal/fu"
-	"hetsynth/internal/hap"
 )
 
 // Unfold returns the f-unfolded version of g. Copy i of node "x" is named
@@ -66,21 +65,6 @@ func LiftTable(t *fu.Table, f int) *fu.Table {
 	for v := 0; v < t.N(); v++ {
 		for i := 0; i < f; i++ {
 			out.MustSet(v*f+i, t.Time[v], t.Cost[v])
-		}
-	}
-	return out
-}
-
-// FoldAssignment maps an assignment of the unfolded graph back to per-copy
-// assignments of the original nodes: result[v][i] is the type of copy i of
-// node v. With heterogeneous FUs different copies may legitimately use
-// different types (that is the extra freedom unfolding buys).
-func FoldAssignment(a hap.Assignment, n, f int) [][]fu.TypeID {
-	out := make([][]fu.TypeID, n)
-	for v := 0; v < n; v++ {
-		out[v] = make([]fu.TypeID, f)
-		for i := 0; i < f; i++ {
-			out[v][i] = a[v*f+i]
 		}
 	}
 	return out

@@ -7,7 +7,6 @@ import (
 
 	"hetsynth/internal/dfg"
 	"hetsynth/internal/fu"
-	"hetsynth/internal/hap"
 )
 
 // loop builds a -> b -> c with a 2-delay feedback c -> a, unit times.
@@ -107,7 +106,7 @@ func TestUnfoldIdentityAtFactorOne(t *testing.T) {
 	}
 }
 
-func TestLiftTableAndFoldAssignment(t *testing.T) {
+func TestLiftTable(t *testing.T) {
 	tab := fu.NewTable(2, 2)
 	tab.MustSet(0, []int{1, 2}, []int64{5, 1})
 	tab.MustSet(1, []int{2, 3}, []int64{6, 2})
@@ -119,11 +118,6 @@ func TestLiftTableAndFoldAssignment(t *testing.T) {
 		if lifted.Time[0*3+i][1] != 2 || lifted.Cost[1*3+i][0] != 6 {
 			t.Fatalf("lifted rows wrong at copy %d", i)
 		}
-	}
-	a := hap.Assignment{0, 1, 0, 1, 1, 0}
-	folded := FoldAssignment(a, 2, 3)
-	if folded[0][1] != 1 || folded[1][2] != 0 {
-		t.Fatalf("folded = %v", folded)
 	}
 }
 
